@@ -1,7 +1,7 @@
 """Divergence watchdog: runtime re-validation against the reference engines.
 
 The fast engines (functional gridlock/lockstep/predecoded, the event
-timing engine, steady-state fast-forward) are pinned bit-identical to the
+timing engine) are pinned bit-identical to the
 reference implementations by goldens and differential fuzz -- *at test
 time*.  A long-running service cannot assume that invariant survives every
 input forever, and silent numeric divergence is the failure mode a tensor
@@ -26,8 +26,7 @@ time:
 **Degradation ladders** (process-wide, monotone):
 
 * functional: ``gridlock -> lockstep -> predecoded -> reference``
-* timing: ``event(+fast-forward) -> event(REPRO_TIMING_FF off) ->
-  reference``
+* timing: ``event -> reference``
 
 **Sampling** is wall-clock-budgeted rather than every-Nth: the guard
 tracks the accumulated wall of guarded fast runs and of its own reference
@@ -62,7 +61,6 @@ __all__ = [
     "guard_mode",
     "effective_func_engine",
     "effective_timing_engine",
-    "ff_allowed",
     "degradation_report",
     "reset",
     "GuardContext",
@@ -77,13 +75,12 @@ MODES = ("off", "sample", "full")
 #: degrades the process to the next; ``reference`` is never guarded.
 FUNC_LADDER = ("gridlock", "lockstep", "predecoded", "reference")
 
-#: Process-wide watchdog state.  ``func_cap`` / ``timing_ref`` / ``ff_off``
+#: Process-wide watchdog state.  ``func_cap`` / ``timing_ref``
 #: implement the monotone degradation ladders; the wall accumulators and
 #: the learned check/run cost ratio drive the sampling budget.
 _state = {
     "func_cap": 0,        # minimum FUNC_LADDER index new runs may use
-    "ff_off": False,      # timing rung 1: force REPRO_TIMING_FF off
-    "timing_ref": False,  # timing rung 2: force the reference engine
+    "timing_ref": False,  # timing rung: force the reference engine
     "total_wall": 0.0,    # accumulated guarded fast-run wall (seconds)
     "guard_wall": 0.0,    # accumulated reference re-run wall (seconds)
     "ratio": 4.0,         # learned (re-run wall / fast wall) estimate
@@ -93,7 +90,7 @@ _state = {
 
 def reset() -> None:
     """Forget all degradation and sampling state (test isolation)."""
-    _state.update(func_cap=0, ff_off=False, timing_ref=False,
+    _state.update(func_cap=0, timing_ref=False,
                   total_wall=0.0, guard_wall=0.0, ratio=4.0, bundles=0)
 
 
@@ -125,18 +122,11 @@ def effective_timing_engine(engine: str) -> str:
     return engine
 
 
-def ff_allowed() -> bool:
-    """False once the watchdog has degraded steady-state fast-forward off."""
-    return not _state["ff_off"]
-
-
 def _degrade(kind: str, engine: str) -> None:
     if kind == "functional":
         rung = FUNC_LADDER.index(engine) if engine in FUNC_LADDER else 0
         _state["func_cap"] = max(_state["func_cap"],
                                  min(rung + 1, len(FUNC_LADDER) - 1))
-    elif not _state["ff_off"]:
-        _state["ff_off"] = True
     else:
         _state["timing_ref"] = True
     STATS.count("guard.degraded")
@@ -146,7 +136,6 @@ def degradation_report() -> dict:
     """Current watchdog state for ``repro doctor`` and tests."""
     return {
         "func_engine_floor": FUNC_LADDER[_state["func_cap"]],
-        "timing_fast_forward": "off (degraded)" if _state["ff_off"] else "allowed",
         "timing_engine_floor": "reference" if _state["timing_ref"] else "event",
         "bundles_written": _state["bundles"],
         "guarded_wall_s": round(_state["total_wall"], 4),

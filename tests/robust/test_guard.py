@@ -82,14 +82,12 @@ class TestLadders:
         guard._degrade("functional", "gridlock")
         assert guard.effective_func_engine("lockstep") == "reference"
 
-    def test_timing_two_rung_degradation(self):
-        assert guard.ff_allowed()
-        assert guard.effective_timing_engine("event") == "event"
-        guard._degrade("timing", "event")
-        assert not guard.ff_allowed()
+    def test_timing_one_rung_degradation(self):
         assert guard.effective_timing_engine("event") == "event"
         guard._degrade("timing", "event")
         assert guard.effective_timing_engine("event") == "reference"
+        assert guard.degradation_report()["timing_engine_floor"] \
+            == "reference"
 
 
 class TestBudgetSampler:
@@ -170,22 +168,21 @@ class TestFunctionalWatchdog:
 
 
 class TestTimingWatchdog:
-    def test_two_divergences_walk_both_rungs(self, monkeypatch, tmp_path):
+    def test_divergence_degrades_to_reference(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_GUARD", "full")
-        monkeypatch.setenv("REPRO_CHAOS", "flip_output:2")
+        monkeypatch.setenv("REPRO_CHAOS", "flip_output:1")
         r1 = _timing_run()
-        assert guard.degradation_report()["timing_fast_forward"] \
-            == "off (degraded)"
-        r2 = _timing_run()
         assert guard.degradation_report()["timing_engine_floor"] \
             == "reference"
-        # Healed results: both divergent runs report the reference numbers.
-        r3 = _timing_run()  # now on the reference floor, unguarded
-        assert r1 == r2 == r3
-        assert STATS.counters.get("guard.divergences") == 2
-        bundles = sorted(p.name for p in (tmp_path / "divergence").iterdir())
-        assert len(bundles) == 2
-        assert all(name.startswith("timing-") for name in bundles)
+        # Healed result: the divergent run reports the reference numbers.
+        r2 = _timing_run()  # now on the reference floor, unguarded
+        assert r1 == r2
+        assert STATS.counters.get("guard.checks") == 1
+        assert STATS.counters.get("guard.divergences") == 1
+        assert STATS.counters.get("guard.degraded") == 1
+        bundles = list((tmp_path / "divergence").iterdir())
+        assert len(bundles) == 1
+        assert bundles[0].name.startswith("timing-")
 
     def test_clean_timing_run_passes(self, monkeypatch):
         monkeypatch.setenv("REPRO_GUARD", "full")
@@ -193,4 +190,4 @@ class TestTimingWatchdog:
         assert r.cycles > 0
         assert STATS.counters.get("guard.checks") == 1
         assert "guard.divergences" not in STATS.counters
-        assert guard.ff_allowed()
+        assert guard.degradation_report()["timing_engine_floor"] == "event"

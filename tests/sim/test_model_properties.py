@@ -130,6 +130,32 @@ class TestLruLineSet:
             s.insert(line)
             assert len(s) <= 8
 
+    @settings(max_examples=60)
+    @given(st.integers(0, 6),
+           st.lists(st.tuples(st.booleans(), st.integers(0, 11)),
+                    min_size=1, max_size=300))
+    def test_matches_brute_force_lru(self, capacity, ops):
+        """Every hit and miss agrees with a list kept in recency order
+        (least recent first), on random lookup/insert sequences."""
+        s = _LruLineSet(capacity_bytes=capacity * 128, line_bytes=128)
+        model = []
+        for is_lookup, line in ops:
+            if is_lookup:
+                hit = line in model
+                if hit:
+                    model.remove(line)
+                    model.append(line)
+                assert s.lookup(line) == hit
+            else:
+                s.insert(line)
+                if capacity:
+                    if line in model:
+                        model.remove(line)
+                    model.append(line)
+                    if len(model) > capacity:
+                        del model[0]
+            assert len(s) == len(model)
+
 
 class TestTimingDeterminism:
     def test_repeat_runs_identical(self):
