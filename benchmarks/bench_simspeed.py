@@ -10,6 +10,12 @@ Two families of legs, written to ``BENCH_simspeed.json`` in the repo root:
 across engines (the event engine's core invariant) and the event engine
 must finish the sweep at least 3x faster end-to-end.
 
+**Value-free leg**: the same sweep through ``TimingSimulator.run_cycles``
+on the event engine -- the entry ``PerformanceModel`` profiles with, which
+skips lane math no address, guard or branch reads.  Every result must
+equal the full event run's; its speed-up over the full event sweep is
+reported (no target).
+
 **Guard leg**: the engine sweep re-run on the event engine with the
 divergence watchdog engaged.  In ``sample`` mode the watchdog's wall-clock
 budget (``REPRO_GUARD_BUDGET``, default 5%) must keep the sweep's
@@ -77,26 +83,36 @@ def _build_legs(spec):
 
 
 def _engine_sweep(spec, legs):
-    """Time both engines over the sweep; returns (times, identical, runs)."""
+    """Time both engines and the value-free entry over the sweep; returns
+    (times, engines identical, value-free identical, runs)."""
     from repro.sim.memory import GlobalMemory
     from repro.sim.timing import TimingSimulator
 
     times, results = {}, {}
-    for engine in ("reference", "event"):
+    for engine in ("reference", "event", "value-free"):
         total = 0.0
         out = []
         for _label, ctas, program in legs:
-            sim = TimingSimulator(spec, engine=engine)
-            memory = GlobalMemory(16 << 20)
-            start = time.perf_counter()
-            out.append(sim.run(program, memory, num_ctas=ctas))
+            if engine == "value-free":
+                sim = TimingSimulator(spec, engine="event")
+                start = time.perf_counter()
+                out.append(sim.run_cycles(program, 16 << 20, ctas))
+            else:
+                sim = TimingSimulator(spec, engine=engine)
+                memory = GlobalMemory(16 << 20)
+                start = time.perf_counter()
+                out.append(sim.run(program, memory, num_ctas=ctas))
             total += time.perf_counter() - start
         times[engine] = total
         results[engine] = out
     identical = all(
         ref == evt for ref, evt in zip(results["reference"], results["event"])
     )
-    return times, identical, [label for label, _, _ in legs]
+    value_free_identical = all(
+        evt == vf for evt, vf in zip(results["event"], results["value-free"])
+    )
+    return (times, identical, value_free_identical,
+            [label for label, _, _ in legs])
 
 
 def _guard_leg(spec, legs):
@@ -184,8 +200,8 @@ def main() -> int:
     configs = [ours(), cublas_like()]
     try:
         legs = _build_legs(RTX2070)
-        engine_times, engines_identical, sweep_legs = _engine_sweep(
-            RTX2070, legs)
+        (engine_times, engines_identical, value_free_identical,
+         sweep_legs) = _engine_sweep(RTX2070, legs)
         guard_payload = _guard_leg(RTX2070, legs)
 
         STATS.reset()
@@ -201,6 +217,10 @@ def main() -> int:
 
     if not engines_identical:
         print("FAIL: event engine results differ from reference",
+              file=sys.stderr)
+        return 1
+    if not value_free_identical:
+        print("FAIL: value-free results differ from full event runs",
               file=sys.stderr)
         return 1
     if not (cold == warm_disk == warm_mem):
@@ -221,6 +241,7 @@ def main() -> int:
         return 1
 
     ref_s, evt_s = engine_times["reference"], engine_times["event"]
+    vf_s = engine_times["value-free"]
     event_speedup = ref_s / evt_s if evt_s else None
     counters = sim_stats["counters"]
     sim_wall = sim_stats["timers"].get("sim.wall", 0.0)
@@ -232,6 +253,9 @@ def main() -> int:
         "event_engine_seconds": round(evt_s, 4),
         "event_engine_speedup": round(event_speedup, 2) if event_speedup else None,
         "engines_bit_identical": engines_identical,
+        "value_free_seconds": round(vf_s, 4),
+        "value_free_speedup": round(evt_s / vf_s, 2) if vf_s else None,
+        "value_free_identical": value_free_identical,
         **guard_payload,
         "cold_seconds": round(cold_s, 4),
         "warm_disk_seconds": round(disk_s, 4),

@@ -9,7 +9,9 @@ identical -- so the model composes:
    two k depths; the difference isolates the marginal cycles per k-iteration
    and the fixed prologue/epilogue cost.  Bank conflicts, STS interleave
    quality, prefetch bubbles -- everything the paper tunes -- lands in this
-   number.
+   number.  Only the cycle count is kept, so the legs run through the
+   value-free entry :meth:`~repro.sim.timing.TimingSimulator.run_cycles`,
+   which skips lane math no address, guard or branch reads (same cycles).
 
 2. **Wave model**: the grid executes in waves of ``num_sms * ctas_per_sm``
    concurrent CTAs.  Per k-iteration each wave moves a predictable number of
@@ -41,7 +43,6 @@ from ..core.config import KernelConfig, adapt_for_arch
 from ..isa.encoding import encode_program
 from ..perf.cache import PROFILE_CACHE, SIM_VERSION, content_key
 from ..perf.parallel import parallel_map
-from ..sim.memory import GlobalMemory
 from ..sim.timing import TimingSimulator
 
 __all__ = ["PerfOptions", "SmProfile", "LaunchEstimate", "PerformanceModel"]
@@ -221,6 +222,15 @@ class PerformanceModel:
             self.remote = None
             return None
 
+    def _profile_program(self, config: KernelConfig, iters: int):
+        """The one-CTA-tile program a profile leg of *iters* k-iterations
+        runs (operands at 0, 4 MB and 8 MB of the profile memory)."""
+        problem = HgemmProblem(
+            m=config.b_m, n=config.b_n, k=iters * config.b_k,
+            a_addr=0, b_addr=4 << 20, c_addr=8 << 20,
+        )
+        return build_hgemm(config, problem, self.spec)
+
     def _profile_leg_cycles(self, config: KernelConfig, iters: int,
                             ctas_per_sm: int) -> int:
         """Simulated cycles of one profile leg, via the run-level cache.
@@ -228,11 +238,7 @@ class PerformanceModel:
         The key hashes the encoded program image itself, so any change to
         the kernel builder or the ISA encoding naturally invalidates it.
         """
-        problem = HgemmProblem(
-            m=config.b_m, n=config.b_n, k=iters * config.b_k,
-            a_addr=0, b_addr=4 << 20, c_addr=8 << 20,
-        )
-        program = build_hgemm(config, problem, self.spec)
+        program = self._profile_program(config, iters)
         run_key = content_key(b"timing-run", SIM_VERSION,
                               encode_program(program), self.spec,
                               ctas_per_sm, _PROFILE_MEM_BYTES, 1.0)
@@ -242,8 +248,7 @@ class PerformanceModel:
         sim = TimingSimulator(self.spec, bandwidth_share=1.0,
                               engine=self.options.timing_engine,
                               guard=self.options.guard)
-        result = sim.run(program, GlobalMemory(_PROFILE_MEM_BYTES),
-                         num_ctas=ctas_per_sm)
+        result = sim.run_cycles(program, _PROFILE_MEM_BYTES, ctas_per_sm)
         PROFILE_CACHE.put(run_key, {"cycles": result.cycles})
         return result.cycles
 

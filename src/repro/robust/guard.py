@@ -15,7 +15,9 @@ time:
 * **Check**: before a guarded run the memory image is snapshotted; after
   it, the run may be re-executed on the ``reference`` engine from the
   snapshot and compared -- the whole memory image plus the result object
-  (``FunctionalResult`` / ``TimingResult`` observables).
+  (``FunctionalResult`` / ``TimingResult`` observables).  A value-free
+  timing run (``TimingSimulator.run_cycles``) compares the
+  ``TimingResult`` only: its memory image is not an observable.
 * **On divergence**: a reproducer bundle (program bytes, run context,
   digests, initial memory) is written to ``$REPRO_CACHE_DIR/divergence/``,
   the process degrades one rung down the engine ladder, the reference
@@ -254,7 +256,7 @@ class GuardContext:
         self._start = time.perf_counter()
 
     def conclude(self, words: np.ndarray, result, rerun, program=None,
-                 context: dict = None):
+                 context: dict = None, compare_memory: bool = True):
         """Maybe verify the finished run; heal and degrade on divergence.
 
         *rerun* is a zero-argument callable executing the same run on the
@@ -262,7 +264,8 @@ class GuardContext:
         ``(reference_result, reference_words)``.  Returns the result the
         caller should report: the fast one when the run is unchecked or
         checked-identical, the reference one (with *words* healed in
-        place) on divergence.
+        place) on divergence.  ``compare_memory=False`` compares the
+        results alone.
         """
         run_wall = time.perf_counter() - self._start
         _state["total_wall"] += run_wall
@@ -276,7 +279,8 @@ class GuardContext:
         if run_wall > 1e-9:
             observed = check_wall / run_wall
             _state["ratio"] = 0.5 * _state["ratio"] + 0.5 * observed
-        if np.array_equal(words, ref_words) and result == ref_result:
+        if result == ref_result and (
+                not compare_memory or np.array_equal(words, ref_words)):
             return result
         STATS.count("guard.divergences")
         _write_bundle(self.kind, self.engine, program, self.pre, words,

@@ -44,6 +44,19 @@ Two interchangeable engines drive the model (``REPRO_TIMING_ENGINE`` or the
   latency/CPI bookkeeping unchanged); and the MIO queue retires by
   advancing a head index over a monotone completion list.
 
+Value-free runs
+---------------
+
+:meth:`TimingSimulator.run_cycles` is the timing-only entry for runs whose
+memory nobody reads (the performance model's profile legs).  On the event
+engine it computes the program's *control slice* -- every register,
+predicate and memory space whose value can reach an address, a guard or a
+branch -- and compiled ALU/MMA/load slots writing nothing in it skip their
+lane math, gather and deferred write while keeping all timing bookkeeping.
+The reported :class:`TimingResult` is identical to :meth:`TimingSimulator.run`'s
+(``tests/sim/test_timing_value_free.py``); on the reference engine the
+entry runs the full loop.
+
 Neither engine skips loop iterations: every issue is simulated.  Deep-k
 runs are not needed, because the performance model
 (:class:`~repro.analysis.perf_model.PerformanceModel`) profiles short k
@@ -157,7 +170,9 @@ class _VecMioQueue:
     after the previous one), so retirement just advances a head index; a
     cached Python-float head completion keeps the hot ``can_accept`` check
     free of any indexing.  API- and number-identical to :class:`_MioQueue`:
-    ``push`` computes the same IEEE float sequence.
+    ``push`` computes the same IEEE float sequence.  The event engine's
+    scheduler scan inlines :meth:`can_accept` / :meth:`next_slot_free`
+    (retire, then compare occupancy with ``depth``).
     """
 
     __slots__ = ("depth", "drain_free", "_done", "_head", "_head_done")
@@ -296,11 +311,18 @@ class _TimedWarp:
         8-cycle issue interval even though non-tensor consumers must wait
         the architectural 10/14 cycles."""
         self.pending_tensor_writes.sort(key=lambda item: item[0])
+        data = self.regs._data
+        write_group = self.regs.write_group
         for _, first_reg, values, mask in self.pending_tensor_writes:
-            self.regs.write_group(
-                first_reg, values,
-                mask=None if mask is None or mask.all() else mask,
-            )
+            if mask is None and values.dtype == _U32:
+                # Compiled MMA slot: its dest group was range-checked when
+                # the slot compiled (see `_compile_slot`).
+                data[first_reg:first_reg + values.shape[0]] = values
+            else:
+                write_group(
+                    first_reg, values,
+                    mask=None if mask is None or mask.all() else mask,
+                )
         self.pending_tensor_writes = []
         self.tensor_min_due = _INF
 
@@ -432,13 +454,19 @@ class TimingResult:
 
 # --------------------------------------------------------------------------
 # Event-engine compilation: one closure per program slot, specialised from
-# the µop descriptors.  Only unpredicated instructions with fully static
-# operand plumbing compile; everything else (predication, decode failures,
-# control flow, RZ-group corner cases) falls back to the generic
+# the µop descriptors.  Unpredicated instructions with fully static operand
+# plumbing compile, and so do predicated loads/stores (taken only when the
+# guard is on for every lane); everything else (other predication, decode
+# failures, control flow, RZ-group corner cases) falls back to the generic
 # `exec_units.execute` adapter so error behaviour matches the reference
 # engine exactly.
 
-_K_GENERIC, _K_ALU, _K_PRED, _K_LOAD, _K_STORE, _K_MMA = range(6)
+_K_GENERIC, _K_ALU, _K_PRED, _K_LOAD, _K_STORE, _K_MMA, _K_DEAD = range(7)
+
+#: Kind offset of a predicated load/store slot: ``_K_GUARDED + kind`` takes
+#: the compiled ``kind`` path when its guard is on for all lanes, and the
+#: generic adapter for any other mask.
+_K_GUARDED = 8
 
 _Z32 = np.zeros(WARP_LANES, dtype=np.uint32)
 _Z32.setflags(write=False)
@@ -518,15 +546,17 @@ def _compile_alu(kernel, readers):
 _ADDR_CACHE_CAP = 4096
 
 
-def _load_fn(mem):
-    """Closure returning ``(addresses, data, conflict)`` for an unpredicated
+def _load_fn(mem, gather=True):
+    """Closure returning ``(addresses, data, conflict)`` for an all-lanes
     load; ``conflict`` is the shared-bank multiplier (``None`` for global).
 
     The pure per-pattern work -- alignment/bounds validation, word-index
     construction, bank-conflict degree -- is memoised per address pattern, so
     the double-buffered LDS patterns a k-loop cycles through skip straight to
     the gather.  Misaligned/out-of-range patterns raise before caching, with
-    the same exception the uncompiled path produces.
+    the same exception the uncompiled path produces.  With ``gather=False``
+    (a dead load of a value-free run) the closure validates but returns
+    ``data=None``.
     """
     base, off, width = mem.base_index, mem.offset, mem.width
     if mem.space != "shared":
@@ -540,7 +570,7 @@ def _load_fn(mem):
                 addrs += off
             memory = w.global_mem
             idx = memory._word_indices(addrs, width, None)
-            return addrs, memory._words[idx], None
+            return addrs, memory._words[idx] if gather else None, None
 
         return fn
 
@@ -562,13 +592,13 @@ def _load_fn(mem):
                 cache.clear()
             cache[key] = ent = (idx, mult)
         idx, mult = ent
-        return addrs, memory._words[idx], mult
+        return addrs, memory._words[idx] if gather else None, mult
 
     return fn
 
 
 def _store_fn(mem):
-    """Closure performing an unpredicated store; returns ``(addresses,
+    """Closure performing an all-lanes store; returns ``(addresses,
     conflict)`` with the same per-pattern memoisation as :func:`_load_fn`."""
     base, off, width = mem.base_index, mem.offset, mem.width
     reg, words = mem.reg, mem.words
@@ -610,15 +640,30 @@ def _store_fn(mem):
     return fn
 
 
-def _compile_slot(dec):
-    """Compile one `_DecodedInst` to ``(kind, fn, aux)``."""
+def _guard_fn(pred):
+    """``guard(warp) -> bool``: is the guard predicate on for every lane?"""
+    i = pred.index
+    if pred.negated:
+        return lambda w: not w.preds._data[i].any()
+    return lambda w: bool(w.preds._data[i].all())
+
+
+def _compile_slot(dec, live=None):
+    """Compile one `_DecodedInst` to ``(kind, fn, aux)``.
+
+    *live* is the program's control slice on a value-free run (see
+    :func:`_control_slice`), else ``None``.  A compiled ALU/MMA slot whose
+    writes miss the slice becomes ``_K_DEAD`` and a load's closure stops
+    gathering: their timing bookkeeping stays, their values go.
+    """
     inst = dec.inst
-    if inst.pred is not None:
-        return _K_GENERIC, None, None
     try:
         u = decode_uop(inst)
     except ExecError:
         return _K_GENERIC, None, None
+    if inst.pred is not None and u.kind not in ("load", "store"):
+        return _K_GENERIC, None, None
+    dead = live is not None and not (u.writes & live)
     if u.kind == "alu":
         try:
             readers = tuple(_t_reader(d) for d in u.srcs)
@@ -627,20 +672,58 @@ def _compile_slot(dec):
         fn = _compile_alu(u.kernel, readers)
         if fn is None:
             return _K_GENERIC, None, None
-        if u.dest[0] == "pred":
-            return _K_PRED, fn, u.dest[1]
+        dest = u.dest
+        if dec.is_mma and dest[1] + dest[2] > RZ_INDEX:
+            return _K_GENERIC, None, None  # write_group raises in reference
+        if dead:
+            return _K_DEAD, None, None
+        if dest[0] == "pred":
+            return _K_PRED, fn, dest[1]
         if dec.is_mma:
-            return _K_MMA, fn, u.dest[1]
-        return _K_ALU, fn, u.dest[1]
+            return _K_MMA, fn, dest[1]
+        return _K_ALU, fn, dest[1]
     if u.kind == "load":
         m = u.mem
-        return _K_LOAD, _load_fn(m), (u.dest[1], m.width, m.bypass_l1)
+        return (_K_LOAD, _load_fn(m, gather=not dead),
+                (u.dest[1], m.width, m.bypass_l1))
     if u.kind == "store":
         m = u.mem
         if m.reg == RZ_INDEX or m.reg + m.words > RZ_INDEX:
             return _K_GENERIC, None, None  # read_group raises in reference
         return _K_STORE, _store_fn(m), m.width
     return _K_GENERIC, None, None  # nop / control flow / unknown
+
+
+def _control_slice(decoded):
+    """The registers, predicates and memory-space tokens whose values can
+    reach a memory address base, an instruction guard or a ``BRA``/``EXIT``
+    operand -- everything a cycle count can depend on.
+
+    Roots are every address base register and every guard predicate
+    (``BRA``/``EXIT`` read nothing else).  The set is closed backwards over
+    the µop dependence sets: a slot writing anything in the slice adds all
+    it reads.  Memory-space tokens take part, so a loaded address keeps its
+    load live, the load keeps its space's token, and the token keeps every
+    store to that space.  Returns ``None`` if any slot fails to decode.
+    """
+    try:
+        uops = [decode_uop(dec.inst) for dec in decoded]
+    except ExecError:
+        return None
+    live = set()
+    for dec, u in zip(decoded, uops):
+        if dec.inst.pred is not None:
+            live.add(("p", dec.inst.pred.index))
+        if u.mem is not None and u.mem.base_index != RZ_INDEX:
+            live.add(u.mem.base_index)
+    grown = True
+    while grown:
+        grown = False
+        for u in reversed(uops):  # producers mostly precede consumers
+            if u.writes & live and not u.reads <= live:
+                live |= u.reads
+                grown = True
+    return frozenset(live)
 
 
 #: Issue-plan window limits: max program slots spanned / max batched members.
@@ -747,17 +830,31 @@ def _plan_clear(warp, plan) -> bool:
     return True
 
 
-def _compile_event(decoded):
-    """Compile a predecoded program for the event engine."""
+def _compile_event(decoded, value_free=False):
+    """Compile a predecoded program for the event engine.
+
+    Returns ``(kinds, fns, aux, guards, plans)``; ``guards[pc]`` is the
+    all-lanes guard test of a ``_K_GUARDED`` slot.  A value-free run
+    elides the lane math outside the program's control slice, unless some
+    slot fails to decode.
+    """
+    live = _control_slice(decoded) if value_free else None
     kinds = []
     fns = []
     aux = []
+    guards = []
     for dec in decoded:
-        k, f, a = _compile_slot(dec)
+        k, f, a = _compile_slot(dec, live)
+        pred = dec.inst.pred
+        if k and pred is not None:
+            k += _K_GUARDED
+            guards.append(_guard_fn(pred))
+        else:
+            guards.append(None)
         kinds.append(k)
         fns.append(f)
         aux.append(a)
-    return kinds, fns, aux, _build_plans(decoded, kinds)
+    return kinds, fns, aux, guards, _build_plans(decoded, kinds)
 
 
 class TimingSimulator:
@@ -784,6 +881,25 @@ class TimingSimulator:
             max_cycles: int = DEFAULT_MAX_CYCLES) -> TimingResult:
         if global_mem is None:
             global_mem = GlobalMemory(4 * 1024 * 1024)
+        return self._run(program, global_mem, num_ctas, first_ctaid,
+                         max_cycles, value_free=False)
+
+    def run_cycles(self, program: Program, mem_bytes: int,
+                   num_ctas: int = 1) -> TimingResult:
+        """Timing-only run of *num_ctas* CTAs over a fresh zero-filled
+        global memory of *mem_bytes*, which nobody can read afterwards.
+
+        Returns the same :class:`TimingResult` as :meth:`run` would.  On the
+        event engine, lane math outside the program's control slice (see
+        :func:`_control_slice`) is skipped: no value it would produce can
+        reach an address, a guard or a branch, so no cycle can change.  The
+        reference engine runs its full loop.
+        """
+        return self._run(program, GlobalMemory(mem_bytes), num_ctas,
+                         (0, 0, 0), DEFAULT_MAX_CYCLES, value_free=True)
+
+    def _run(self, program, global_mem, num_ctas, first_ctaid, max_cycles,
+             value_free) -> TimingResult:
         mode = _guard.guard_mode(self.guard)
         engine = _guard.effective_timing_engine(self.engine)
         ctx = None
@@ -813,7 +929,7 @@ class TimingSimulator:
                 warps, cta_warps, decoded, memsys, max_cycles)
         else:
             outcome = self._run_event(
-                warps, cta_warps, decoded, memsys, max_cycles)
+                warps, cta_warps, decoded, memsys, max_cycles, value_free)
         cycle, retired, opcode_counts, pipe_busy_total, stall_reasons, \
             plan_stats = outcome
 
@@ -839,17 +955,21 @@ class TimingSimulator:
         )
         if ctx is not None:
             # Chaos flip fires only on guarded runs: a synthetic fast-engine
-            # bug for the watchdog to catch, never silent corruption.
-            chaos.maybe_flip_output(global_mem._words)
+            # bug for the watchdog to catch, never silent corruption.  A
+            # value-free run has no observable memory to flip.
+            if not value_free:
+                chaos.maybe_flip_output(global_mem._words)
             result = ctx.conclude(
                 global_mem._words, result,
                 lambda: _guard_rerun(self.spec, self.bandwidth_share,
                                      self.l1_bytes, program, ctx.pre,
                                      num_ctas, first_ctaid, max_cycles),
                 program=program,
+                compare_memory=not value_free,
                 context={"num_ctas": num_ctas,
                          "first_ctaid": list(first_ctaid),
                          "engine": engine,
+                         "value_free": value_free,
                          "bandwidth_share": self.bandwidth_share,
                          "l1_bytes": self.l1_bytes},
             )
@@ -989,13 +1109,9 @@ class TimingSimulator:
             for first_reg, values, mask in eff.reg_writes:
                 warp.defer_write(due, first_reg, values, mask)
 
-        # Predicates use the ALU latency as well.
+        # Predicate writes land at issue, not after ALU_LATENCY: generated
+        # code always stalls at least ALU_LATENCY before reading one.
         for index, values, mask in eff.pred_writes:
-            # Predicate files are small; model latency by deferring through
-            # the same queue using a sentinel: simplest is immediate apply
-            # after ALU_LATENCY via closure-free tuple on the regs queue is
-            # not possible, so apply now but require stall>=ALU_LATENCY by
-            # convention (generated code always does).
             warp.preds.write(index, values, mask=None if mask.all() else mask)
 
         if pipe_key is not None and occupancy:
@@ -1118,7 +1234,8 @@ class TimingSimulator:
 
     # ---------------------------------------------------------- event engine
 
-    def _run_event(self, warps, cta_warps, decoded, memsys, max_cycles):
+    def _run_event(self, warps, cta_warps, decoded, memsys, max_cycles,
+                   value_free=False):
         """Event-driven issue loop: cycle-identical to `_run_reference`.
 
         Each warp carries a cached *block status* with a release-cycle
@@ -1135,7 +1252,12 @@ class TimingSimulator:
         cycle every live warp was just (re)examined or provably unchanged,
         so the status arrays hold exactly the candidate set `_next_event`
         recomputes from scratch and the two engines visit identical cycles
-        and count identical stall reasons.
+        and count identical stall reasons.  On such a cycle every non-empty
+        scheduler holds a valid summary of exactly those caches, so the
+        probe reads the summaries instead of every warp.
+
+        *value_free* compiles the program with its dead lane math elided
+        (see :meth:`run_cycles`).
         """
         spec = self.spec
         n_sched = spec.warp_schedulers_per_sm
@@ -1149,6 +1271,7 @@ class TimingSimulator:
             for cls in ("tensor", "alu", "fma")
         }
         mio = _VecMioQueue(spec.mio_queue_depth)
+        mio_depth = mio.depth
         pipe_busy_total = {"tensor": 0, "alu": 0, "fma": 0, "lsu": 0}
         opcode_counts: dict = {}
         rr = [0] * n_sched
@@ -1156,7 +1279,7 @@ class TimingSimulator:
             [w for i, w in enumerate(warps) if i % n_sched == s]
             for s in range(n_sched)
         ]
-        kinds, fns, aux, plans = _compile_event(decoded)
+        kinds, fns, aux, guards, plans = _compile_event(decoded, value_free)
         plan_stats = [0, 0]
 
         n_warps = len(warps)
@@ -1165,7 +1288,8 @@ class TimingSimulator:
         st_expiry = [0] * n_warps
         wids_by_sched = [[w.wid for w in ws] for ws in by_sched]
         # Fully-blocked scheduler summary: (stall, scoreboard, pipe counter
-        # adds, valid-until cycle).  While valid it replays the scheduler's
+        # adds, valid-until cycle, earliest stall/scoreboard/MIO expiry,
+        # has a pipe-blocked warp).  While valid it replays the scheduler's
         # per-cycle stall counts in O(1) instead of re-examining every warp;
         # the earliest member expiry or a barrier/exit wake invalidates it.
         sched_sum = [None] * n_sched
@@ -1222,8 +1346,10 @@ class TimingSimulator:
                     # its own condition re-tested, not the full chain.
                     warp = sched_warps[idx]
                     if code == 3:
-                        if not mio.can_accept(cycle):
-                            st_expiry[wid] = ceil(mio.next_slot_free(cycle))
+                        if mio._head_done <= cycle:
+                            mio._retire(cycle)
+                        if len(mio._done) - mio._head >= mio_depth:
+                            st_expiry[wid] = ceil(mio._head_done)
                             n_pipe += 1
                             continue
                         pc = warp.pc
@@ -1260,11 +1386,11 @@ class TimingSimulator:
                             n_score += 1
                             continue
                         if dec.is_memory:
-                            if not mio.can_accept(cycle):
+                            if mio._head_done <= cycle:
+                                mio._retire(cycle)
+                            if len(mio._done) - mio._head >= mio_depth:
                                 st_code[wid] = 3
-                                st_expiry[wid] = ceil(
-                                    mio.next_slot_free(cycle)
-                                )
+                                st_expiry[wid] = ceil(mio._head_done)
                                 n_pipe += 1
                                 continue
                             pipe_key = None
@@ -1281,6 +1407,9 @@ class TimingSimulator:
 
                     # Issue!
                     kindc = kinds[pc]
+                    if kindc >= _K_GUARDED:
+                        kindc = (kindc - _K_GUARDED if guards[pc](warp)
+                                 else _K_GENERIC)
                     if kindc:
                         self._issue_fast(
                             warp, dec, kindc, fns[pc], aux[pc], cycle,
@@ -1322,7 +1451,8 @@ class TimingSimulator:
                     # All warps blocked: snapshot this scheduler's per-cycle
                     # stall counts (just added above) for O(1) replay.
                     a = b = c = 0
-                    vu = _INF
+                    vu = wake = _INF
+                    has_pipe = False
                     for wid2 in swids:
                         code = st_code[wid2]
                         if code >= 5:
@@ -1330,29 +1460,31 @@ class TimingSimulator:
                         e = st_expiry[wid2]
                         if e < vu:
                             vu = e
+                        if code == 4:
+                            has_pipe = True
+                        elif e < wake:
+                            wake = e
                         if code == 1:
                             a += 1
                         elif code == 2:
                             b += 1
                         else:
                             c += 1
-                    sched_sum[s] = (a, b, c, vu)
+                    sched_sum[s] = (a, b, c, vu, wake, has_pipe)
             if issued_any:
                 cycle += 1
                 continue
-            # Nothing issued: probe the cached block statuses for the next
+            # Nothing issued: probe the scheduler summaries for the next
             # event (the same candidate set `_next_event` would compute --
             # every live warp was just (re)examined, so caches are fresh).
             nxt = _INF
             pipe_blocked = False
-            for wid2 in range(n_warps):
-                c2 = st_code[wid2]
-                if c2 == 4:
-                    pipe_blocked = True
-                elif 0 < c2 <= 3:
-                    e = st_expiry[wid2]
-                    if e < nxt:
-                        nxt = e
+            for summ in sched_sum:
+                if summ is not None:
+                    if summ[4] < nxt:
+                        nxt = summ[4]
+                    if summ[5]:
+                        pipe_blocked = True
             if pipe_blocked:
                 horizon = cycle + 1
                 t = _INF
@@ -1386,13 +1518,25 @@ class TimingSimulator:
 
         Same state transitions in the same order; the lane math comes from
         the slot's compiled closure (or a queued MMA-plan row) instead of
-        `execute`, and deferred values skip the Effects packaging.
+        `execute`, and deferred values skip the Effects packaging.  A
+        ``_K_DEAD`` slot and a non-gathering load keep all of it except the
+        lane math and the deferred write.
         """
         if warp.min_due <= cycle or warp.tensor_min_due <= cycle:
             warp.apply_due_writes(cycle)
         warp._clock_now = cycle
         release = None
-        if kindc == _K_MMA:
+        if kindc == _K_DEAD:
+            if dec.is_mma and warp.pending_tensor_writes:
+                warp.forward_tensor_writes()
+            warp.retired += 1
+            occupancy = dec.occupancy
+            if occupancy:
+                pipes[pipe_key] = (
+                    max(pipes[pipe_key], float(cycle)) + occupancy
+                )
+                pipe_busy_total[pipe_key[0]] += occupancy
+        elif kindc == _K_MMA:
             if warp.pending_tensor_writes:
                 warp.forward_tensor_writes()
             out = None
@@ -1463,7 +1607,8 @@ class TimingSimulator:
                 done = mio.push(cycle, occupancy)
                 ready = max(summary.ready_cycle, int(done) + 1)
             pipe_busy_total["lsu"] += occupancy
-            warp.defer_write(ready, dest, data, None)
+            if data is not None:
+                warp.defer_write(ready, dest, data, None)
             release = ready
         elif kindc == _K_STORE:
             addrs, mult = fn(warp)

@@ -16,6 +16,7 @@ from repro.arch import RTX2070
 from repro.core.builder import HgemmProblem, build_hgemm
 from repro.core.config import ours
 from repro.core.hgemm import hgemm, hgemm_reference
+from repro.isa import ProgramBuilder, Reg
 from repro.perf.stats import STATS
 from repro.robust import chaos, guard
 from repro.sim.memory import GlobalMemory
@@ -43,13 +44,16 @@ def _operands(seed=0):
     return a, b
 
 
-def _timing_run():
+def _timing_program():
     config = ours()
     problem = HgemmProblem(m=config.b_m, n=config.b_n, k=32,
                            a_addr=0, b_addr=4 << 20, c_addr=8 << 20)
-    program = build_hgemm(config, problem, RTX2070)
-    return TimingSimulator(RTX2070).run(program, GlobalMemory(16 << 20),
-                                        num_ctas=1)
+    return build_hgemm(config, problem, RTX2070)
+
+
+def _timing_run():
+    return TimingSimulator(RTX2070).run(_timing_program(),
+                                        GlobalMemory(16 << 20), num_ctas=1)
 
 
 class TestModeResolution:
@@ -191,3 +195,46 @@ class TestTimingWatchdog:
         assert STATS.counters.get("guard.checks") == 1
         assert "guard.divergences" not in STATS.counters
         assert guard.degradation_report()["timing_engine_floor"] == "event"
+
+    def test_value_free_divergence_healed(self, monkeypatch, tmp_path):
+        # A synthetic event-engine bug: one stall cycle miscounted.  The
+        # value-free run's watchdog compares TimingResults, catches it,
+        # heals to the reference result and degrades the ladder.
+        monkeypatch.setenv("REPRO_GUARD", "full")
+        program = _timing_program()
+        ref = TimingSimulator(RTX2070, engine="reference").run_cycles(
+            program, 16 << 20, 1)
+        real = TimingSimulator._run_event
+
+        def miscount(self, *args):
+            outcome = real(self, *args)
+            outcome[4]["stall"] += 1
+            return outcome
+
+        monkeypatch.setattr(TimingSimulator, "_run_event", miscount)
+        healed = TimingSimulator(RTX2070).run_cycles(program, 16 << 20, 1)
+        assert healed == ref
+        assert STATS.counters.get("guard.checks") == 1
+        assert STATS.counters.get("guard.divergences") == 1
+        assert guard.degradation_report()["timing_engine_floor"] \
+            == "reference"
+        bundles = list((tmp_path / "divergence").iterdir())
+        assert len(bundles) == 1
+        meta = json.loads((bundles[0] / "meta.json").read_text())
+        assert meta["context"]["value_free"] is True
+
+    def test_value_free_memory_not_compared(self, monkeypatch):
+        # R10 reaches no address, guard or branch, so the value-free run
+        # skips the MOV32I and stores 0 where the reference stores 5.  The
+        # memory image is not an observable of run_cycles: no divergence.
+        monkeypatch.setenv("REPRO_GUARD", "full")
+        b = ProgramBuilder(name="dead_store", num_regs=16, block_dim=32)
+        b.mov32i(10, 5, stall=6)
+        b.s2r(2, "SR_TID.X", stall=6)
+        b.imad(3, Reg(2), 4, 0x100, stall=6)
+        b.stg(3, 10, width=32, stall=4)
+        b.exit()
+        r = TimingSimulator(RTX2070).run_cycles(b.build(), 1 << 16, 1)
+        assert r.cycles > 0
+        assert STATS.counters.get("guard.checks") == 1
+        assert "guard.divergences" not in STATS.counters

@@ -73,11 +73,13 @@ def _random_program(seed):
         return int(rng.choice([32, 64, 128]))
 
     # Prologue: lane-strided, 16-byte-aligned addresses (valid for every
-    # access width), a divergent predicate, and a uniform loop counter.
+    # access width), divergent predicates (P3 splits warp 0's lanes), and a
+    # uniform loop counter.
     b.s2r(2, "SR_TID.X", stall=6)
     b.imad(3, Reg(2), 16, 0x1000, stall=6)   # global address
     b.imad(4, Reg(2), 16, 0, stall=6)        # shared address
     b.isetp(Pred(1), Reg(2), 64, cmp="LT", stall=6)
+    b.isetp(Pred(3), Reg(2), 16, cmp="LT", stall=6)
     b.mov32i(1, int(rng.integers(2, 4)), stall=6)
 
     # The loop body: one emitter per opcode class, shuffled, each with
@@ -113,6 +115,9 @@ def _random_program(seed):
         lambda: b.lds(32, 4, offset=0, width=rand_width(),
                       wait=(wb,), stall=int(rng.integers(1, 9))),
         lambda: b.sts(4, 13, offset=0, width=rand_width(), **ctrl()),
+        # Guarded memory: all-on, all-off and lane-divergent masks occur.
+        lambda: b.ldg(56, 3, offset=128, width=32, pred=Pred(2), **ctrl()),
+        lambda: b.sts(4, 14, offset=2048, width=64, pred=Pred(3), **ctrl()),
         lambda: b.nop(**ctrl()),
     ]
 
