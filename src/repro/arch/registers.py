@@ -24,8 +24,9 @@ WARP_LANES = 32
 class RegisterFile:
     """Per-warp general purpose registers: 256 x *lanes* of uint32.
 
-    ``lanes`` defaults to one warp (32); the lockstep engine stacks all of
-    a CTA's warps into one file with ``lanes = n_warps * 32``.
+    ``lanes`` defaults to one warp (32); the gridlock engine stacks all
+    warps of a chunk of CTAs into one file with
+    ``lanes = n_ctas * n_warps * 32``.
     """
 
     NUM_REGS = 256

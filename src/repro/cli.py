@@ -736,12 +736,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="cycle-level simulator engine (default: $REPRO_TIMING_ENGINE "
              "or 'event'; the engines are bit-identical, 'event' is faster)")
     parser.add_argument(
-        "--func-engine",
-        choices=["lockstep", "gridlock", "predecoded", "reference"],
-        default=None,
-        help="functional simulator engine (default: $REPRO_FUNC_ENGINE or "
-             "'lockstep'; the engines are bit-identical, 'gridlock' stacks "
-             "the whole grid into one process)")
+        "--func-engine", choices=["gridlock", "reference"], default=None,
+        help="functional simulator engine (default: $REPRO_FUNC_ENGINE "
+             "or 'gridlock'; the engines are bit-identical, 'gridlock' is "
+             "faster)")
     parser.add_argument(
         "--guard", choices=["off", "sample", "full"], default=None,
         help="divergence watchdog: re-run fast-engine launches on the "

@@ -76,7 +76,8 @@ def verify_kernel(config: KernelConfig, shapes=DEFAULT_SHAPES,
     ``max_workers`` shards each launch's CTAs over worker processes
     (``None``/1 serial, 0 one per CPU) -- results are bit-identical either
     way, the parallel path only changes wall time.  ``engine`` picks the
-    functional execution engine (``None`` -> ``REPRO_FUNC_ENGINE``).
+    functional execution engine ("gridlock" or "reference"; ``None`` ->
+    ``REPRO_FUNC_ENGINE``, default gridlock).
     """
     report = VerificationReport(kernel_name=config.name or "custom")
     is_int8 = config.ab_dtype == "s8"

@@ -303,6 +303,10 @@ def hmma_1688_window(d_base, a_base, b_base, c_base, f32: bool):
             iC = ((c_rows[:, None, None] + cA)[:, None] * s16
                   + colA[None]).ravel()
             iD = ((d_rows[:, None] + cD)[:, None] * s16 + colD[None]).ravel()
+        if np.array_equal(iD, iC):
+            # Accumulate in place (D == C): one table serves both, halving
+            # the window's footprint on wide stacked states.
+            iD = iC
         tab = cache[lanes] = (nw, iA, iB, iC, iD)
         return tab
 

@@ -19,12 +19,13 @@ Counter names use dotted namespaces by convention:
   :class:`~repro.sim.functional.FunctionalSimulator` per ``run()``
   (grid launches, CTAs executed, instructions retired, and worker
   processes used for CTA-parallel sharding).
-* ``func.destacks`` -- incremented by the warp-lockstep engine each time
-  a CTA hits a stacked closure that returns ``DIVERGED`` and falls back
-  to the per-warp interleave path (see :mod:`repro.sim.decode`).
-* ``func.grid_destacks`` -- incremented by the grid-lockstep engine each
-  time grid-uniform execution refuses (CTA-divergent control flow or a
-  non-uniform stacked closure) and the grid de-stacks to per-CTA runs.
+* ``func.grid_destacks`` -- incremented by the gridlock engine each time
+  a multi-CTA stacked state hits a closure that returns ``DIVERGED``
+  (CTA-divergent control flow or a non-uniform stacked closure) and
+  de-stacks to 1-CTA states (see :mod:`repro.sim.decode`).
+* ``func.destacks`` -- incremented by the gridlock engine each time a
+  1-CTA stacked state refuses the same way and de-stacks to the per-warp
+  interleave path.
 * ``func.wall`` (a timer, seconds) -- wall time inside functional
   ``run()``, including predecode and any worker fan-out.
 * ``cache.mem_hits`` / ``cache.disk_hits`` / ``cache.misses`` /

@@ -1,7 +1,7 @@
 """Divergence watchdog: runtime re-validation against the reference engines.
 
-The fast engines (functional gridlock/lockstep/predecoded, the event
-timing engine) are pinned bit-identical to the
+The fast engines (the functional gridlock engine, the event timing
+engine) are pinned bit-identical to the
 reference implementations by goldens and differential fuzz -- *at test
 time*.  A long-running service cannot assume that invariant survives every
 input forever, and silent numeric divergence is the failure mode a tensor
@@ -27,7 +27,8 @@ time:
 
 **Degradation ladders** (process-wide, monotone):
 
-* functional: ``gridlock -> lockstep -> predecoded -> reference``
+* functional: ``gridlock -> reference`` (gridlock's per-CTA and per-warp
+  de-stack rungs are internal to the engine, not ladder rungs)
 * timing: ``event -> reference``
 
 **Sampling** is wall-clock-budgeted rather than every-Nth: the guard
@@ -75,7 +76,7 @@ MODES = ("off", "sample", "full")
 
 #: Functional engine ladder, fastest first.  A divergence on one rung
 #: degrades the process to the next; ``reference`` is never guarded.
-FUNC_LADDER = ("gridlock", "lockstep", "predecoded", "reference")
+FUNC_LADDER = ("gridlock", "reference")
 
 #: Process-wide watchdog state.  ``func_cap`` / ``timing_ref``
 #: implement the monotone degradation ladders; the wall accumulators and

@@ -1,4 +1,4 @@
-"""Predecoded execution engine for the functional simulator.
+"""Predecode layer: slot-indexed closures for the functional simulator.
 
 The reference interpreter (:func:`repro.sim.exec_units.execute`) re-examines
 every ``Instruction`` each time it retires: operand descriptors evaluated
@@ -22,12 +22,13 @@ closure returns the control signal for the interval loop in
 * ``None`` -- fall through to the slot's precomputed ``next_pc``;
 * an ``int >= 0`` -- branch to that slot;
 * :data:`EXITED` / :data:`BARRIER` -- the warp exits / arrives at a barrier;
-* :data:`DIVERGED` -- (stacked decodings only, see below) the warps of a CTA
+* :data:`DIVERGED` -- (stacked decodings only, see below) the stacked warps
   stopped agreeing and lockstep execution must de-stack.
 
 ``predecode(program, lanes)`` compiles for any lane count: the default 32
-serves one warp, while the lockstep engine passes ``n_warps * 32`` so every
-closure operates on all of a CTA's warps as one stacked array.  Stacked
+serves one warp, while the gridlock engine passes ``n_ctas * n_warps * 32``
+so every closure operates on all warps of a chunk of CTAs as one stacked
+array.  Stacked
 closures must be warp-uniform; wherever per-warp behaviour could differ
 (partial predicates, divergent branches, reference-only paths) the closure
 returns :data:`DIVERGED` *before* mutating any state, and the caller falls
@@ -106,7 +107,7 @@ class DecodedProgram:
       per-opcode retire counts of a :class:`FunctionalResult`.
 
     ``lanes`` records the lane count the closures were compiled for (32 for
-    one warp; ``n_warps * 32`` for a lockstep stacking).
+    one warp; ``n_ctas * n_warps * 32`` for a stacked state).
     """
 
     __slots__ = ("n", "run_fns", "next_pc", "lens", "reads_clock",
@@ -713,9 +714,10 @@ def predecode(program, lanes: int = WARP_LANES) -> DecodedProgram:
     """Decode *program* once into slot-indexed closures plus fused windows.
 
     ``lanes`` selects the lane count the closures operate on: 32 (default)
-    for per-warp execution, ``n_warps * 32`` for the lockstep engine and
-    ``n_ctas * n_warps * 32`` for the grid-lockstep engine.  Results are
-    memoised per (program, lanes); repeated runs of one kernel skip decode.
+    for per-warp execution, ``n_ctas * n_warps * 32`` for a stacked
+    gridlock state (``n_ctas == 1`` on the per-CTA de-stack rung).  Results
+    are memoised per (program, lanes); repeated runs of one kernel skip
+    decode.
     """
     key = id(program)
     entry = _PREDECODE_CACHE.get(key)

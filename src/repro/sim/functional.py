@@ -1,54 +1,45 @@
 """Functional (untimed) simulator: executes a kernel over a full grid.
 
 This is the correctness half of the substrate: it runs the generated HGEMM
-kernels CTA by CTA and produces bit-exact results that tests compare against
-NumPy references.  Within a CTA, warps execute round-robin in *barrier
+kernels and produces bit-exact results that tests compare against NumPy
+references.  Within a CTA, warps execute round-robin in *barrier
 intervals*: each warp runs until it reaches a ``BAR.SYNC``, an ``EXIT`` or a
 configurable fuel limit; the barrier releases when every live warp arrives.
 This is exact for well-synchronised programs (all cross-warp communication
 through shared memory must be separated by barriers -- which is also the
 hardware's own correctness contract).
 
-Four execution engines share those semantics (all compiled from the one
-µop table in :mod:`repro.sim.uop`, so they cannot drift apart):
+Two execution engines share those semantics:
 
-* ``"gridlock"`` -- the grid-lockstep engine: the program is decoded once
-  for ``n_ctas * n_warps * 32`` stacked lanes and *the whole grid* executes
-  each slot as one NumPy operation in one process.  Shared memory becomes a
-  stacked :class:`~repro.sim.shared.StackedSharedMemory` (one segment per
-  CTA, constant per-lane word offsets) and ``CTAID`` reads become per-chunk
-  constant arrays.  Divergence de-stacks down a refusal ladder: a closure
-  that cannot keep all CTAs in lockstep returns ``DIVERGED`` *before*
-  mutating state (``STATS`` counter ``func.grid_destacks``), the grid
-  splits into per-CTA lockstep states which can in turn de-stack to the
-  per-warp interleave path (``func.destacks``).  Grids larger than
-  ``_GRIDLOCK_MAX_CTAS`` run in uniform chunks; this replaces
-  ``multiprocessing`` sharding for small/medium grids where fork+pickle
-  dominates (``REPRO_FUNC_ENGINE=gridlock``).
-* ``"lockstep"`` (the default) -- the program is decoded once for
-  ``n_warps * 32`` stacked lanes and, between barriers, all warps of a CTA
-  execute each slot as one warp-lockstep NumPy operation.  Wherever the
-  warps could stop agreeing (cross-warp-divergent predicates or branches,
-  reference-only paths) the closure returns ``DIVERGED`` *before* mutating
-  state and the CTA de-stacks onto the per-warp interleave loop
-  (``STATS`` counter ``func.destacks``).  Well-synchronised GEMM kernels
-  never de-stack.  Select explicitly with ``REPRO_FUNC_ENGINE=lockstep``.
-* ``"predecoded"`` -- programs are decoded once by
-  :func:`repro.sim.decode.predecode` into 32-lane slot-indexed closures with
-  fused NumPy fast paths for the hot opcode runs; warps run round-robin in
-  barrier intervals (``REPRO_FUNC_ENGINE=predecoded``).
+* ``"gridlock"`` (the default) -- the grid-lockstep engine: the program is
+  decoded once by :func:`repro.sim.decode.predecode` (which compiles the
+  one µop table in :mod:`repro.sim.uop`) for ``n_ctas * n_warps * 32``
+  stacked lanes, and a chunk of CTAs executes each slot as one NumPy
+  operation.  Shared memory becomes a stacked
+  :class:`~repro.sim.shared.StackedSharedMemory` (one segment per CTA,
+  constant per-lane word offsets) and ``CTAID`` reads become per-lane
+  constant arrays.  A launch runs in chunks of at most ``_GRIDLOCK_LANES``
+  stacked lanes.  Wherever the stacked lanes could stop agreeing (CTA- or
+  warp-divergent predicates or branches, reference-only paths) a closure
+  returns ``DIVERGED`` *before* mutating state and the state de-stacks
+  down an internal ladder, resuming at the refusal point: a multi-CTA
+  state splits into 1-CTA states (``STATS`` counter ``func.grid_destacks``)
+  and a 1-CTA state splits into 32-lane warps that finish in barrier
+  intervals (``func.destacks``).  Well-synchronised GEMM kernels never
+  de-stack.
 * ``"reference"`` -- the instruction-at-a-time interpreter through
   :func:`repro.sim.exec_units.execute`, kept as the semantic ground
-  truth for differential tests and benchmark baselines
-  (``REPRO_FUNC_ENGINE=reference``).
+  truth for differential tests, the divergence watchdog and benchmark
+  baselines (``REPRO_FUNC_ENGINE=reference``).
 
 Because barrier intervals never cross CTAs, CTAs are architecturally
-independent and a grid can run CTA-parallel: pass ``max_workers`` (or set
-``REPRO_FUNC_JOBS``) and the grid is sharded over worker processes that
-scatter into one ``multiprocessing.shared_memory`` block backing
-:class:`GlobalMemory`, each CTA writing its own C tile.  Results (instruction
-retire counts per opcode) merge deterministically, so serial and parallel
-runs are bit-identical -- ``tests/sim/test_golden_functional.py`` pins this.
+independent and a grid can run CTA-parallel: pass ``max_workers`` to
+:meth:`FunctionalSimulator.run` and the grid is sharded over worker
+processes that scatter into one ``multiprocessing.shared_memory`` block
+backing :class:`GlobalMemory`, each CTA writing its own C tile.  Results
+(instruction retire counts per opcode) merge deterministically, so serial
+and parallel runs are bit-identical -- ``tests/sim/test_golden_functional.py``
+pins this.
 
 ``CS2R SR_CLOCKLO`` returns the warp's retired-instruction count here; for
 cycle-accurate clocks use :class:`repro.sim.timing.TimingSimulator`.
@@ -74,25 +65,23 @@ from .shared import SharedMemory, StackedSharedMemory
 
 __all__ = ["FunctionalSimulator", "FunctionalResult", "SimLimitError"]
 
-ENGINES = ("lockstep", "gridlock", "predecoded", "reference")
+ENGINES = ("gridlock", "reference")
 
-#: Largest CTA count stacked into one grid-lockstep state.  Bounds the
-#: register-file footprint (256 rows x n_ctas*n_warps*32 lanes x 4 bytes,
-#: ~8 MiB at the cap for 8-warp CTAs); bigger grids run in uniform chunks.
-_GRIDLOCK_MAX_CTAS = 64
+#: Stacked-lane budget of one grid-lockstep state: a launch runs in chunks
+#: of ``max(1, _GRIDLOCK_LANES // (warps_per_cta * 32))`` CTAs.  Bounds the
+#: register file at 256 rows x 512 lanes x 4 bytes = 512 KiB whatever the
+#: CTA size, and with it the decoded HMMA windows' flat index tables, which
+#: grow with the lane count: wider chunks buy little more speed on 8-warp
+#: CTAs and cost peak memory.
+_GRIDLOCK_LANES = 512
 
 
 def _default_engine() -> str:
-    engine = os.environ.get("REPRO_FUNC_ENGINE", "lockstep")
+    engine = os.environ.get("REPRO_FUNC_ENGINE", "gridlock")
     if engine not in ENGINES:
         raise ValueError(
             f"REPRO_FUNC_ENGINE must be one of {ENGINES}, got {engine!r}")
     return engine
-
-
-def _default_jobs():
-    jobs = os.environ.get("REPRO_FUNC_JOBS")
-    return int(jobs) if jobs else None
 
 
 class SimLimitError(RuntimeError):
@@ -121,68 +110,29 @@ class _WarpState:
         return self.retired
 
 
-class _CtaState:
-    """Stacked execution context: all warps of one CTA as ``n_warps * 32``
-    lanes, laid out warp-major (warp 0's lanes first).
+class _GridState:
+    """Stacked execution context for a chunk of CTAs: all warps of all CTAs
+    as ``n_ctas * n_warps * 32`` lanes, laid out CTA-major then warp-major.
 
     Duck-types the warp attributes the decoded closures touch (``regs``,
     ``preds``, ``tid``, ``lane_ids``, ``ctaid``, memories, ``retired``), so
-    a closure compiled for stacked lanes runs every warp at once.
-    """
-
-    def __init__(self, n_warps: int, ctaid, block_dim: int,
-                 global_mem: GlobalMemory, shared_mem: SharedMemory):
-        self.n_warps = n_warps
-        self.ctaid = ctaid
-        self.block_dim = block_dim
-        lanes = n_warps * WARP_LANES
-        self.lane_ids = np.tile(
-            np.arange(WARP_LANES, dtype=np.uint32), n_warps)
-        self.tid = np.arange(lanes, dtype=np.uint32)
-        self.regs = RegisterFile(lanes)
-        self.preds = PredicateFile(lanes)
-        self.global_mem = global_mem
-        self.shared_mem = shared_mem
-        self.retired = 0
-
-    def split(self, pc: int, retired: int) -> list:
-        """De-stack into per-warp states (column-slice copies), all resuming
-        at *pc* with *retired* instructions already counted."""
-        warps = []
-        for w in range(self.n_warps):
-            warp = _WarpState(w, self.ctaid, self.block_dim,
-                              self.global_mem, self.shared_mem)
-            cols = slice(w * WARP_LANES, (w + 1) * WARP_LANES)
-            warp.regs._data[:] = self.regs._data[:, cols]
-            warp.preds._data[:] = self.preds._data[:, cols]
-            warp.pc = pc
-            warp.retired = retired
-            warps.append(warp)
-        return warps
-
-
-class _GridState:
-    """Stacked execution context for a *uniform chunk of CTAs*: all warps of
-    all CTAs as ``n_ctas * n_warps * 32`` lanes, laid out CTA-major then
-    warp-major.
-
-    Duck-types the same closure-facing surface as :class:`_CtaState`; the two
-    deliberate differences are ``ctaid`` (a tuple of three per-lane arrays
-    rather than scalars -- ``np.full`` in the decoded ``S2R SR_CTAID``
-    getters broadcasts them, so the decode layer needs no grid awareness)
-    and ``shared_mem`` (a :class:`StackedSharedMemory` whose per-lane word
-    offsets route each lane to its own CTA's segment).
+    a closure compiled for stacked lanes runs every warp at once.  Two
+    attributes are stacked rather than scalar: ``ctaid`` is a tuple of three
+    per-lane arrays (``np.full`` in the decoded ``S2R SR_CTAID`` getters
+    broadcasts them, so the decode layer needs no grid awareness) and
+    ``shared_mem`` is a :class:`StackedSharedMemory` whose per-lane word
+    offsets route each lane to its own CTA's segment.  A 1-CTA state is the
+    per-CTA rung of the de-stack ladder.
     """
 
     def __init__(self, ctaids, n_warps: int, block_dim: int,
-                 global_mem: GlobalMemory,
-                 shared_mem: StackedSharedMemory):
+                 global_mem: GlobalMemory, smem_bytes: int):
         self.ctaids = list(ctaids)
         self.n_ctas = len(self.ctaids)
         self.n_warps = n_warps
         self.block_dim = block_dim
         lanes_per_cta = n_warps * WARP_LANES
-        lanes = self.n_ctas * lanes_per_cta
+        self.lanes = self.n_ctas * lanes_per_cta
         self.lane_ids = np.tile(
             np.arange(WARP_LANES, dtype=np.uint32), n_warps * self.n_ctas)
         self.tid = np.tile(
@@ -192,29 +142,48 @@ class _GridState:
                 np.array([c[axis] for c in self.ctaids], dtype=np.uint32),
                 lanes_per_cta)
             for axis in range(3))
-        self.regs = RegisterFile(lanes)
-        self.preds = PredicateFile(lanes)
+        self.regs = RegisterFile(self.lanes)
+        self.preds = PredicateFile(self.lanes)
         self.global_mem = global_mem
-        self.shared_mem = shared_mem
+        self.shared_mem = StackedSharedMemory(smem_bytes, self.n_ctas,
+                                              lanes_per_cta)
         self.retired = 0
 
-    def split_ctas(self, pc: int, retired: int) -> list:
-        """De-stack into per-CTA lockstep states (column-slice copies plus a
-        private copy of each CTA's shared segment), all resuming at *pc*
-        with *retired* instructions already counted per warp."""
+    def clock(self) -> int:
+        return self.retired
+
+    def split_ctas(self) -> list:
+        """De-stack into 1-CTA states (column-slice copies plus each CTA's
+        own shared segment)."""
         lanes_per_cta = self.n_warps * WARP_LANES
         ctas = []
         for c, ctaid in enumerate(self.ctaids):
-            shared = SharedMemory(self.shared_mem.size)
-            shared._words[:] = self.shared_mem.segment(c)
-            cta = _CtaState(self.n_warps, ctaid, self.block_dim,
-                            self.global_mem, shared)
+            cta = _GridState([ctaid], self.n_warps, self.block_dim,
+                             self.global_mem, self.shared_mem.size)
+            cta.shared_mem.segment(0)[:] = self.shared_mem.segment(c)
             cols = slice(c * lanes_per_cta, (c + 1) * lanes_per_cta)
             cta.regs._data[:] = self.regs._data[:, cols]
             cta.preds._data[:] = self.preds._data[:, cols]
-            cta.retired = retired
             ctas.append(cta)
         return ctas
+
+    def split_warps(self, pc: int, retired: int) -> list:
+        """De-stack a 1-CTA state into per-warp states (column-slice copies
+        sharing one plain :class:`SharedMemory`), all resuming at *pc* with
+        *retired* instructions already counted."""
+        shared = SharedMemory(self.shared_mem.size)
+        shared._words[:] = self.shared_mem.segment(0)
+        warps = []
+        for w in range(self.n_warps):
+            warp = _WarpState(w, self.ctaids[0], self.block_dim,
+                              self.global_mem, shared)
+            cols = slice(w * WARP_LANES, (w + 1) * WARP_LANES)
+            warp.regs._data[:] = self.regs._data[:, cols]
+            warp.preds._data[:] = self.preds._data[:, cols]
+            warp.pc = pc
+            warp.retired = retired
+            warps.append(warp)
+        return warps
 
 
 @dataclass
@@ -240,30 +209,31 @@ class FunctionalSimulator:
     """Executes programs functionally over an (x, y) grid of CTAs.
 
     ``engine`` selects the execution engine (``None`` -> ``REPRO_FUNC_ENGINE``
-    or lockstep); ``max_workers`` the CTA-parallel worker count with the
-    :func:`repro.perf.parallel.parallel_map` conventions (``None``/1 serial,
-    0 auto, ``REPRO_FUNC_JOBS`` supplying the default); ``guard`` the
-    divergence-watchdog mode (``None`` -> ``REPRO_GUARD``, see
-    :mod:`repro.robust.guard`).  A watchdog degradation may run the launch
-    on a slower rung than ``engine`` requests -- never a faster one.
+    or gridlock); ``guard`` the divergence-watchdog mode (``None`` ->
+    ``REPRO_GUARD``, see :mod:`repro.robust.guard`).  A watchdog
+    degradation may run the launch on a slower rung than ``engine``
+    requests -- never a faster one.
     """
 
     def __init__(self, max_instructions_per_warp: int = 5_000_000,
-                 engine: str = None, max_workers: int = None,
-                 guard: str = None):
+                 engine: str = None, guard: str = None):
         self.max_instructions_per_warp = max_instructions_per_warp
         self.engine = engine if engine is not None else _default_engine()
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        self.max_workers = max_workers
         self.guard = guard
 
     def run(self, program: Program, global_mem: GlobalMemory,
             grid_dim=(1, 1), max_workers: int = None) -> FunctionalResult:
-        """Launch *program* over ``grid_dim`` CTAs against *global_mem*."""
+        """Launch *program* over ``grid_dim`` CTAs against *global_mem*.
+
+        ``max_workers`` is the CTA-parallel worker count with the
+        :func:`repro.perf.parallel.parallel_map` conventions (``None``/1
+        serial, 0 one per CPU).
+        """
         gx, gy = (grid_dim if len(grid_dim) == 2 else (*grid_dim, 1)[:2])
         ctaids = [(bx, by, 0) for by in range(gy) for bx in range(gx)]
-        workers = self._resolve_workers(max_workers, len(ctaids))
+        workers = _resolve_workers(max_workers, len(ctaids))
         mode = _guard.guard_mode(self.guard)
         engine = _guard.effective_func_engine(self.engine)
         ctx = None
@@ -296,58 +266,32 @@ class FunctionalSimulator:
 
     # ------------------------------------------------------------ internals
 
-    def _resolve_workers(self, max_workers, n_ctas: int) -> int:
-        workers = max_workers
-        if workers is None:
-            workers = self.max_workers
-        if workers is None:
-            workers = _default_jobs()
-        if workers is None:
-            return 1
-        if workers == 0:
-            workers = default_workers()
-        return max(1, min(int(workers), n_ctas))
-
     def _run_ctas(self, program: Program, global_mem: GlobalMemory,
-                  ctaids, engine: str = None) -> FunctionalResult:
-        engine = engine or self.engine
+                  ctaids, engine: str) -> FunctionalResult:
         result = FunctionalResult()
         if engine == "reference":
             for ctaid in ctaids:
                 self._run_cta(program, global_mem, ctaid, result)
                 result.ctas_run += 1
             return result
-        if engine == "predecoded":
-            decoded = predecode(program)
-            counts = decoded.new_counts()
-            for ctaid in ctaids:
-                self._run_cta_decoded(program, decoded, counts, global_mem,
-                                      ctaid)
-                result.ctas_run += 1
-            decoded.accumulate(counts, result)
-            return result
-        if engine == "gridlock":
-            return self._run_grid(program, global_mem, ctaids, result)
-        # lockstep: one stacked decoding for the whole run, plus a lazily
-        # built 32-lane decoding for CTAs that de-stack.  Each decoding
+        # gridlock: stack chunks of CTAs within the lane budget.  Every rung
+        # a chunk may de-stack to needs its own decoding (closures are
+        # lane-count-specialised); they are built on first use and each
         # keeps its own counters because their window structures can differ.
-        n_warps = program.meta.warps_per_cta
-        decoded = predecode(program, lanes=n_warps * WARP_LANES)
-        counts = decoded.new_counts()
-        fallback = [None, None]  # [DecodedProgram, counts], built on demand
-        for ctaid in ctaids:
-            self._run_cta_lockstep(program, decoded, counts, fallback,
-                                   global_mem, ctaid)
-            result.ctas_run += 1
-        decoded.accumulate(counts, result)
-        if fallback[0] is not None:
-            fallback[0].accumulate(fallback[1], result)
+        meta = program.meta
+        chunk = max(1, _GRIDLOCK_LANES // (meta.warps_per_cta * WARP_LANES))
+        decodings = {}  # lanes -> (DecodedProgram, per-slot counts)
+        for start in range(0, len(ctaids), chunk):
+            state = _GridState(ctaids[start:start + chunk], meta.warps_per_cta,
+                               meta.block_dim, global_mem, meta.smem_bytes)
+            self._run_stacked(program, decodings, state, 0, 0)
+            result.ctas_run += state.n_ctas
+        for decoded, counts in decodings.values():
+            decoded.accumulate(counts, result)
         return result
 
     def _run_parallel(self, program: Program, global_mem: GlobalMemory,
-                      ctaids, workers: int,
-                      engine: str = None) -> FunctionalResult:
-        engine = engine or self.engine
+                      ctaids, workers: int, engine: str) -> FunctionalResult:
         # Back device memory with a shared block; each worker attaches and
         # scatters its CTAs' stores straight into it.  CTAs write disjoint
         # output tiles, so in-place writes cannot race.
@@ -436,16 +380,70 @@ class FunctionalSimulator:
                 warp.at_barrier = True
                 return
 
-    # ----------------------------------------------------- predecoded engine
+    # ------------------------------------------------------- gridlock engine
 
-    def _run_cta_decoded(self, program: Program, decoded, counts,
-                         global_mem: GlobalMemory, ctaid) -> None:
-        shared = SharedMemory(program.meta.smem_bytes)
-        warps = [
-            _WarpState(w, ctaid, program.meta.block_dim, global_mem, shared)
-            for w in range(program.meta.warps_per_cta)
-        ]
-        self._interleave_decoded(decoded, counts, warps, ctaid)
+    def _run_stacked(self, program: Program, decodings, state: _GridState,
+                     pc: int, retired: int) -> None:
+        """Signal-dispatch loop over a stacked state from (pc, retired).
+
+        Every warp of every CTA in *state* executes the same slot at once,
+        so barriers release instantly (each CTA's barrier is independent,
+        and lockstep means all its warps arrive in the same slot) and
+        ``EXITED``/branches are uniform by construction.  ``DIVERGED`` is a
+        pure refusal (no state was mutated) that de-stacks one rung: a
+        multi-CTA state splits into 1-CTA states that re-enter this loop,
+        and a 1-CTA state splits into warps that finish on the 32-lane
+        interleave path, which owns all per-warp semantics.  Slot indices
+        are lane-count invariant, so the resume point means the same thing
+        at every rung.
+        """
+        decoded, counts = _decoding(program, decodings, state.lanes)
+        run_fns = decoded.run_fns
+        next_pc = decoded.next_pc
+        lens = decoded.lens
+        reads_clock = decoded.reads_clock
+        n = decoded.n
+        limit = self.max_instructions_per_warp
+        warps_in_state = state.n_ctas * state.n_warps
+        ctaids = state.ctaids
+        where = (f"CTA {ctaids[0]}" if state.n_ctas == 1
+                 else f"grid chunk {ctaids[0]}..{ctaids[-1]}")
+        # ``retired`` is the per-warp count (identical across the state).
+        while True:
+            if retired >= limit:
+                raise SimLimitError(
+                    f"{where} exceeded {limit} instructions per warp")
+            if pc >= n:
+                raise ExecError(
+                    f"{where} ran off the end of the program (pc={pc}); "
+                    "missing EXIT?")
+            if reads_clock[pc]:
+                state.retired = retired  # CS2R reads the pre-retire count
+            signal = run_fns[pc](state)
+            if signal == DIVERGED:
+                if state.n_ctas > 1:
+                    STATS.count("func.grid_destacks")
+                    for cta in state.split_ctas():
+                        self._run_stacked(program, decodings, cta, pc,
+                                          retired)
+                else:
+                    STATS.count("func.destacks")
+                    decoded, counts = _decoding(program, decodings,
+                                                WARP_LANES)
+                    self._interleave_decoded(
+                        decoded, counts, state.split_warps(pc, retired),
+                        ctaids[0])
+                return
+            counts[pc] += warps_in_state
+            retired += lens[pc]
+            if signal is None:
+                pc = next_pc[pc]
+            elif signal >= 0:
+                pc = signal
+            elif signal == EXITED:
+                return  # uniform by construction: every warp exits
+            else:  # BARRIER: every warp arrived together; release instantly
+                pc = next_pc[pc]
 
     def _interleave_decoded(self, decoded, counts, warps, ctaid) -> None:
         """Round-robin barrier-interval loop over per-warp states."""
@@ -508,163 +506,22 @@ class FunctionalSimulator:
             warp.pc = pc
             warp.retired = retired
 
-    # ------------------------------------------------------- lockstep engine
 
-    def _run_cta_lockstep(self, program: Program, decoded, counts, fallback,
-                          global_mem: GlobalMemory, ctaid) -> None:
-        """Run one CTA with all warps stacked into a single lane dimension."""
-        shared = SharedMemory(program.meta.smem_bytes)
-        cta = _CtaState(program.meta.warps_per_cta, ctaid,
-                        program.meta.block_dim, global_mem, shared)
-        self._lockstep_loop(program, decoded, counts, fallback, cta, 0, 0)
+def _resolve_workers(max_workers, n_ctas: int) -> int:
+    if max_workers is None:
+        return 1
+    workers = default_workers() if max_workers == 0 else int(max_workers)
+    return max(1, min(workers, n_ctas))
 
-    def _lockstep_loop(self, program: Program, decoded, counts, fallback,
-                       cta: _CtaState, pc: int, retired: int) -> None:
-        """Signal-dispatch loop over a stacked per-CTA state from (pc,
-        retired).
 
-        Between barriers every warp executes the same slot simultaneously,
-        so barriers release instantly and the interval machinery disappears;
-        the loop is a straight signal dispatch.  On ``DIVERGED`` the CTA
-        de-stacks (no state was mutated) and finishes on the 32-lane
-        interleave path, which owns all per-warp semantics.  Starting from a
-        nonzero ``pc`` resumes a CTA the grid-lockstep engine de-stacked.
-        """
-        ctaid = cta.ctaid
-        n_warps = cta.n_warps
-        run_fns = decoded.run_fns
-        next_pc = decoded.next_pc
-        lens = decoded.lens
-        reads_clock = decoded.reads_clock
-        n = decoded.n
-        limit = self.max_instructions_per_warp
-        # ``retired`` is the per-warp count (identical across warps here).
-        while True:
-            if retired >= limit:
-                raise SimLimitError(
-                    f"CTA {ctaid} exceeded {limit} instructions per warp")
-            if pc >= n:
-                raise ExecError(
-                    f"CTA {ctaid} ran off the end of the program "
-                    f"(pc={pc}); missing EXIT?")
-            if reads_clock[pc]:
-                cta.retired = retired  # CS2R reads the pre-retire count
-            signal = run_fns[pc](cta)
-            if signal == DIVERGED:
-                STATS.count("func.destacks")
-                if fallback[0] is None:
-                    fallback[0] = predecode(program)
-                    fallback[1] = fallback[0].new_counts()
-                warps = cta.split(pc, retired)
-                self._interleave_decoded(fallback[0], fallback[1], warps,
-                                         ctaid)
-                return
-            counts[pc] += n_warps
-            retired += lens[pc]
-            if signal is None:
-                pc = next_pc[pc]
-            elif signal >= 0:
-                pc = signal
-            elif signal == EXITED:
-                return  # warp-uniform by construction: all warps exit
-            else:  # BARRIER: every warp arrived together; release instantly
-                pc = next_pc[pc]
-
-    # ------------------------------------------------------- gridlock engine
-
-    def _run_grid(self, program: Program, global_mem: GlobalMemory,
-                  ctaids, result: FunctionalResult) -> FunctionalResult:
-        """Grid-lockstep driver: stack uniform chunks of CTAs and run each
-        chunk as one state.
-
-        Each distinct chunk size needs its own stacked decoding (closures
-        are lane-count-specialised), so chunks are uniform except possibly
-        the last; the common case (grid <= ``_GRIDLOCK_MAX_CTAS``) decodes
-        exactly once.  De-stacked CTAs share one lazily built per-CTA
-        decoding, whose own fallback is the 32-lane interleave path --
-        slot indices are lane-count invariant, so a (pc, retired) resume
-        point means the same thing at every rung of the ladder.
-        """
-        n_warps = program.meta.warps_per_cta
-        cta_fallback = [None, None]   # per-CTA lockstep decoding + counts
-        warp_fallback = [None, None]  # 32-lane interleave decoding + counts
-        decodings = {}                # chunk size -> (DecodedProgram, counts)
-        for start in range(0, len(ctaids), _GRIDLOCK_MAX_CTAS):
-            chunk = ctaids[start:start + _GRIDLOCK_MAX_CTAS]
-            entry = decodings.get(len(chunk))
-            if entry is None:
-                dp = predecode(program,
-                               lanes=len(chunk) * n_warps * WARP_LANES)
-                entry = decodings[len(chunk)] = (dp, dp.new_counts())
-            self._run_grid_chunk(program, entry[0], entry[1], cta_fallback,
-                                 warp_fallback, global_mem, chunk)
-            result.ctas_run += len(chunk)
-        for decoded, counts in decodings.values():
-            decoded.accumulate(counts, result)
-        for fb in (cta_fallback, warp_fallback):
-            if fb[0] is not None:
-                fb[0].accumulate(fb[1], result)
-        return result
-
-    def _run_grid_chunk(self, program: Program, decoded, counts,
-                        cta_fallback, warp_fallback,
-                        global_mem: GlobalMemory, ctaids) -> None:
-        """Run one uniform chunk of CTAs as a single grid-stacked state.
-
-        Identical in shape to :meth:`_lockstep_loop` one level up: barriers
-        release instantly (every warp of every CTA arrives together -- each
-        CTA's barrier is independent, and lockstep means they all arrive in
-        the same slot), ``EXITED``/branches are grid-uniform by
-        construction, and ``DIVERGED`` is a pure refusal that splits the
-        chunk into per-CTA lockstep states resuming at the refusal point.
-        """
-        n_warps = program.meta.warps_per_cta
-        shared = StackedSharedMemory(program.meta.smem_bytes, len(ctaids),
-                                     n_warps * WARP_LANES)
-        grid = _GridState(ctaids, n_warps, program.meta.block_dim,
-                          global_mem, shared)
-        run_fns = decoded.run_fns
-        next_pc = decoded.next_pc
-        lens = decoded.lens
-        reads_clock = decoded.reads_clock
-        n = decoded.n
-        limit = self.max_instructions_per_warp
-        warps_in_chunk = len(ctaids) * n_warps
-        pc = 0
-        retired = 0  # per-warp count (identical across the whole chunk)
-        while True:
-            if retired >= limit:
-                raise SimLimitError(
-                    f"grid chunk {ctaids[0]}..{ctaids[-1]} exceeded "
-                    f"{limit} instructions per warp")
-            if pc >= n:
-                raise ExecError(
-                    f"grid chunk {ctaids[0]}..{ctaids[-1]} ran off the end "
-                    f"of the program (pc={pc}); missing EXIT?")
-            if reads_clock[pc]:
-                grid.retired = retired  # CS2R reads the pre-retire count
-            signal = run_fns[pc](grid)
-            if signal == DIVERGED:
-                STATS.count("func.grid_destacks")
-                if cta_fallback[0] is None:
-                    cta_fallback[0] = predecode(
-                        program, lanes=n_warps * WARP_LANES)
-                    cta_fallback[1] = cta_fallback[0].new_counts()
-                for cta in grid.split_ctas(pc, retired):
-                    self._lockstep_loop(program, cta_fallback[0],
-                                        cta_fallback[1], warp_fallback,
-                                        cta, pc, retired)
-                return
-            counts[pc] += warps_in_chunk
-            retired += lens[pc]
-            if signal is None:
-                pc = next_pc[pc]
-            elif signal >= 0:
-                pc = signal
-            elif signal == EXITED:
-                return  # grid-uniform by construction: everything exits
-            else:  # BARRIER: all warps of all CTAs arrived; release instantly
-                pc = next_pc[pc]
+def _decoding(program: Program, decodings: dict, lanes: int):
+    """The ``(DecodedProgram, counts)`` pair of one launch for *lanes*,
+    built on first use."""
+    entry = decodings.get(lanes)
+    if entry is None:
+        decoded = predecode(program, lanes=lanes)
+        entry = decodings[lanes] = (decoded, decoded.new_counts())
+    return entry
 
 
 def _opt_mask(mask: np.ndarray):
@@ -679,7 +536,7 @@ def _reference_rerun(program: Program, pre_words: np.ndarray, grid_dim,
     mem = GlobalMemory(pre_words.nbytes)
     np.copyto(mem._words, pre_words)
     sim = FunctionalSimulator(max_instructions_per_warp=fuel,
-                              engine="reference", max_workers=1, guard="off")
+                              engine="reference", guard="off")
     result = sim.run(program, mem, grid_dim=grid_dim)
     return result, mem._words
 
@@ -697,11 +554,11 @@ def _worker_init(shm_name: str, size_bytes: int, program: Program,
     _WORKER["mem"] = GlobalMemory(size_bytes, buffer=shm.buf)
     _WORKER["program"] = program
     _WORKER["sim"] = FunctionalSimulator(
-        max_instructions_per_warp=max_instructions_per_warp, engine=engine,
-        max_workers=1)
+        max_instructions_per_warp=max_instructions_per_warp, engine=engine)
 
 
 def _worker_run_chunk(ctaids) -> FunctionalResult:
     """Run one shard of CTAs against the shared memory; return its stats."""
     sim = _WORKER["sim"]
-    return sim._run_ctas(_WORKER["program"], _WORKER["mem"], ctaids)
+    return sim._run_ctas(_WORKER["program"], _WORKER["mem"], ctaids,
+                         sim.engine)

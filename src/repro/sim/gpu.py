@@ -92,8 +92,9 @@ class Device:
 
         ``max_workers`` shards CTAs over worker processes (``None``/1
         serial, 0 one per CPU); ``engine`` selects the functional
-        execution engine (``None`` -> ``REPRO_FUNC_ENGINE``).  Results
-        are bit-identical across workers and engines.
+        execution engine ("gridlock" or "reference"; ``None`` ->
+        ``REPRO_FUNC_ENGINE``, default gridlock).  Results are
+        bit-identical across workers and engines.
         """
         return FunctionalSimulator(engine=engine).run(
             program, self.memory, grid_dim=grid, max_workers=max_workers)

@@ -81,8 +81,8 @@ def hgemm_strided_batched(a, b, kernel="ours", spec: GpuSpec = RTX2070,
         spec: target device.
         accumulate: "f16" or "f32" (see :func:`repro.core.hgemm`).
         max_workers: CTA-parallel workers per launch.
-        engine: functional engine for every launch (None ->
-           ``REPRO_FUNC_ENGINE``).
+        engine: functional engine for every launch ("gridlock" or
+           "reference"; None -> ``REPRO_FUNC_ENGINE``).
         return_run: also return per-batch statistics.
 
     Returns:

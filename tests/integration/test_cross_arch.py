@@ -1,7 +1,7 @@
 """Cross-generation pinning: one simulator, three Tensor Core families.
 
 Every engine family must agree *per generation* -- the functional engines
-(lockstep / gridlock / predecoded / reference) bit-for-bit on the GEMM
+(gridlock / reference) bit-for-bit on the GEMM
 result, and the timing engines (event / reference) cycle-for-cycle -- on
 a Volta (V100, HMMA.884), a Turing (RTX2070, HMMA.1688) and an Ampere
 (A100, HMMA.16816) device.  Golden digests freeze the V100 and A100
@@ -145,8 +145,7 @@ def test_timing_memory_matches_functional(device):
         mem.write_array(0, a.ravel())
         mem.write_array(4 << 20, b.ravel())
     TimingSimulator(spec, engine="event").run(program, mem_t, num_ctas=1)
-    FunctionalSimulator(engine="lockstep").run(program, mem_f,
-                                               grid_dim=(1, 1))
+    FunctionalSimulator().run(program, mem_f, grid_dim=(1, 1))
     assert np.array_equal(mem_t._words, mem_f._words)
 
 

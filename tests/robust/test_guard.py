@@ -74,17 +74,17 @@ class TestModeResolution:
 
 class TestLadders:
     def test_monotone_functional_degradation(self):
+        assert guard.FUNC_LADDER == ("gridlock", "reference")
         assert guard.effective_func_engine("gridlock") == "gridlock"
-        guard._degrade("functional", "gridlock")
-        assert guard.effective_func_engine("gridlock") == "lockstep"
-        # Requests already below the floor are unchanged.
+        # Requests already at the floor are unchanged.
         assert guard.effective_func_engine("reference") == "reference"
-        guard._degrade("functional", "lockstep")
-        guard._degrade("functional", "predecoded")
-        assert guard.effective_func_engine("gridlock") == "reference"
-        # The ladder never resets upward on its own.
         guard._degrade("functional", "gridlock")
-        assert guard.effective_func_engine("lockstep") == "reference"
+        assert guard.effective_func_engine("gridlock") == "reference"
+        assert guard.degradation_report()["func_engine_floor"] \
+            == "reference"
+        # The ladder never resets upward on its own.
+        guard._degrade("functional", "reference")
+        assert guard.effective_func_engine("gridlock") == "reference"
 
     def test_timing_one_rung_degradation(self):
         assert guard.effective_timing_engine("event") == "event"
@@ -127,9 +127,9 @@ class TestFunctionalWatchdog:
         assert STATS.counters.get("guard.checks") == 1
         assert STATS.counters.get("guard.divergences") == 1
         assert STATS.counters.get("guard.degraded") == 1
-        # 3. The process degraded one rung (default lockstep -> predecoded).
+        # 3. The process degraded one rung (default gridlock -> reference).
         report = guard.degradation_report()
-        assert report["func_engine_floor"] == "predecoded"
+        assert report["func_engine_floor"] == "reference"
         assert report["bundles_written"] == 1
         # 4. A replayable reproducer bundle exists.
         bundles = list((tmp_path / "divergence").iterdir())
@@ -163,7 +163,7 @@ class TestFunctionalWatchdog:
         # engine; runs still work and are no longer guarded (guarding the
         # ground truth would be circular).
         monkeypatch.setenv("REPRO_GUARD", "full")
-        for rung in ("gridlock", "lockstep", "predecoded"):
+        for rung in guard.FUNC_LADDER:
             guard._degrade("functional", rung)
         a, b = _operands(3)
         out = hgemm(a, b)

@@ -1,7 +1,7 @@
 """Golden functional regression: every execution engine is pinned bit-exactly.
 
 These values were captured from the seed interpreter (pre-predecode).
-The decoded-op engine, the warp-lockstep engine, the window scheduler's
+Both engines, gridlock's internal de-stack rungs, the window scheduler's
 batched fast paths, and the CTA-parallel sharding must all be provably
 behaviour-preserving: for every launch they must retire the same opcode mix
 and produce the same C matrix to the bit.  Any change to a digest or count
@@ -100,15 +100,42 @@ def _digest(c) -> str:
     return hashlib.sha256(np.ascontiguousarray(c).tobytes()).hexdigest()
 
 
+#: Execution paths the goldens pin: both engines plus gridlock's two
+#: internal de-stack rungs, forced from slot 0 -- "lockstep" runs every CTA
+#: as its own stacked state, "predecoded" runs every warp on the 32-lane
+#: closures in barrier intervals.  Well-synchronised GEMM grids never
+#: de-stack on their own, so without this the rungs' fused fast paths
+#: would go unpinned on real kernels.
+PATHS = (*functional.ENGINES, "lockstep", "predecoded")
+
+
+def _warps_from_slot_0(self, program, decodings, state, pc, retired):
+    decoded, counts = functional._decoding(program, decodings, 32)
+    self._interleave_decoded(decoded, counts,
+                             state.split_warps(pc, retired),
+                             state.ctaids[0])
+
+
+def _select_path(path, monkeypatch):
+    if path in functional.ENGINES:
+        monkeypatch.setenv("REPRO_FUNC_ENGINE", path)
+        return
+    monkeypatch.setenv("REPRO_FUNC_ENGINE", "gridlock")
+    monkeypatch.setattr(functional, "_GRIDLOCK_LANES", 1)  # 1-CTA chunks
+    if path == "predecoded":
+        monkeypatch.setattr(functional.FunctionalSimulator, "_run_stacked",
+                            _warps_from_slot_0)
+
+
 def _run(kernel, m, n, k, **kwargs):
     a, b = _inputs(m, n, k)
     return hgemm(a, b, kernel=kernel, return_run=True, **kwargs)
 
 
-@pytest.mark.parametrize("engine", functional.ENGINES)
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("kernel,m,n,k", sorted(GOLDEN))
-def test_golden_functional(kernel, m, n, k, engine, monkeypatch):
-    monkeypatch.setenv("REPRO_FUNC_ENGINE", engine)
+def test_golden_functional(kernel, m, n, k, path, monkeypatch):
+    _select_path(path, monkeypatch)
     digest, retired, ctas, opcodes = GOLDEN[(kernel, m, n, k)]
     run = _run(kernel, m, n, k)
     assert _digest(run.c) == digest
@@ -117,12 +144,12 @@ def test_golden_functional(kernel, m, n, k, engine, monkeypatch):
     assert run.stats.opcode_counts == opcodes
 
 
-@pytest.mark.parametrize("engine", functional.ENGINES)
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("m,n,k", sorted(GOLDEN_IGEMM))
-def test_golden_igemm(m, n, k, engine, monkeypatch):
-    """IMMA.8816 kernels retire identically on every engine; the int32
+def test_golden_igemm(m, n, k, path, monkeypatch):
+    """IMMA.8816 kernels retire identically on every path; the int32
     digests were captured from the reference interpreter."""
-    monkeypatch.setenv("REPRO_FUNC_ENGINE", engine)
+    _select_path(path, monkeypatch)
     digest, retired, ctas, opcodes = GOLDEN_IGEMM[(m, n, k)]
     a, b = _int8_inputs(m, n, k)
     run = igemm(a, b, return_run=True)
@@ -189,7 +216,7 @@ def test_parallel_matches_serial():
 
 def test_engine_env_override(monkeypatch):
     """``REPRO_FUNC_ENGINE=reference`` opts the whole stack out of the
-    predecoded engine, with identical results."""
+    gridlock engine, with identical results."""
     monkeypatch.setenv("REPRO_FUNC_ENGINE", "reference")
     kernel, m, n, k = "ours", 256, 256, 32
     digest, retired, _, opcodes = GOLDEN[(kernel, m, n, k)]
@@ -200,6 +227,9 @@ def test_engine_env_override(monkeypatch):
 
 
 def test_bad_engine_env_rejected(monkeypatch):
-    monkeypatch.setenv("REPRO_FUNC_ENGINE", "turbo")
-    with pytest.raises(ValueError, match="REPRO_FUNC_ENGINE"):
-        functional.FunctionalSimulator()
+    # "lockstep" and "predecoded" were once engines; they are now internal
+    # rungs of gridlock and no longer selectable.
+    for engine in ("turbo", "lockstep", "predecoded"):
+        monkeypatch.setenv("REPRO_FUNC_ENGINE", engine)
+        with pytest.raises(ValueError, match="REPRO_FUNC_ENGINE"):
+            functional.FunctionalSimulator()

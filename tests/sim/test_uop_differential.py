@@ -1,21 +1,22 @@
-"""Differential fuzz: one semantics table, three bit-identical engines.
+"""Differential fuzz: one semantics table, three bit-identical execution paths.
 
 For every opcode in the ISA, execute representative instruction forms
 against randomized register files, predicate files and memory images on
 
 * the reference adapter (:func:`repro.sim.exec_units.execute`),
 * the 32-lane predecoded closure (:func:`repro.sim.decode.predecode`), and
-* the stacked warp-lockstep closure (``predecode(program, lanes=W*32)``),
+* the stacked closure (``predecode(program, lanes=W*32)``) on a 1-CTA
+  gridlock state,
 
 and require the complete post-state -- all 256 register rows, all 8
 predicate rows, global memory, shared memory, and the control signal -- to
-be bit-identical across engines for every warp.  Because all three compile
+be bit-identical across paths for every warp.  Because all three compile
 from the same ``SEMANTICS`` table, any divergence is a bug in the
 compilation layers, not an ambiguity in the semantics.
 
 Stacked closures are allowed exactly one alternative behaviour: returning
-``DIVERGED`` *without mutating any state* (the lockstep engine then
-re-runs the slot per warp), which this suite also verifies.
+``DIVERGED`` *without mutating any state* (the gridlock engine then
+de-stacks and re-runs the slot per warp), which this suite also verifies.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.isa import assemble
 from repro.isa.instructions import OPCODES
 from repro.sim.decode import BARRIER, DIVERGED, EXITED, predecode
 from repro.sim.exec_units import execute
-from repro.sim.functional import _CtaState, _WarpState
+from repro.sim.functional import _GridState, _WarpState
 from repro.sim.memory import GlobalMemory
 from repro.sim.shared import SharedMemory
 
@@ -139,6 +140,17 @@ def _make_warp(w, regs, preds, global_mem, shared_mem):
     return warp
 
 
+def _make_cta(regs, preds, gmem, smem):
+    """A 1-CTA stacked state over fresh copies of the memories."""
+    global_mem = GlobalMemory(GMEM_BYTES)
+    global_mem._words[:] = gmem
+    cta = _GridState([CTAID], N_WARPS, LANES, global_mem, SMEM_BYTES)
+    cta.shared_mem._words[:] = smem
+    cta.regs._data[:] = regs
+    cta.preds._data[:] = preds
+    return cta
+
+
 def _snapshot(ctx):
     return (ctx.regs._data.copy(), ctx.preds._data.copy())
 
@@ -190,12 +202,10 @@ def test_differential(opcode, i, src, setup, seed):
     np.testing.assert_array_equal(dec_gm._words, ref_mems[0])
     np.testing.assert_array_equal(dec_sm._words, ref_mems[1])
 
-    # Stacked warp-lockstep closure, all warps at once.
+    # Stacked closure, all warps of the CTA at once.
     stacked = predecode(program, lanes=LANES)
-    cta_gm, cta_sm = _make_mems(gmem, smem)
-    cta = _CtaState(N_WARPS, CTAID, LANES, cta_gm, cta_sm)
-    cta.regs._data[:] = regs
-    cta.preds._data[:] = preds
+    cta = _make_cta(regs, preds, gmem, smem)
+    cta_gm, cta_sm = cta.global_mem, cta.shared_mem
     signal = stacked.run_fns[0](cta)
     if signal == DIVERGED:
         # Allowed only as a pure refusal: nothing may have been mutated.
@@ -224,7 +234,7 @@ def test_differential(opcode, i, src, setup, seed):
 # global memory plus retirement statistics must agree bit-for-bit.
 # Predicates are warp-uniform (derived from tid>>5 or CTAID) -- warps
 # disagree with each other, lanes within a warp never do, which is exactly
-# the shape that forces the lockstep engine through its DIVERGED de-stack
+# the shape that forces the gridlock engine through its DIVERGED de-stack
 # path while staying legal on every engine.
 
 # Warp-dependent trip counts: warp w of CTA c loops (w + c + 1) times,
@@ -384,8 +394,5 @@ def test_lockstep_never_destacks_on_uniform_hot_ops():
         program = assemble(src + "\nEXIT")
         regs, preds, gmem, smem = _random_state(7, _addr_setup(2))
         stacked = predecode(program, lanes=LANES)
-        global_mem, shared_mem = _make_mems(gmem, smem)
-        cta = _CtaState(N_WARPS, CTAID, LANES, global_mem, shared_mem)
-        cta.regs._data[:] = regs
-        cta.preds._data[:] = preds
+        cta = _make_cta(regs, preds, gmem, smem)
         assert stacked.run_fns[0](cta) != DIVERGED, src
