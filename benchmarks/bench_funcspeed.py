@@ -12,12 +12,16 @@ tiling) through the functional simulator three ways:
 
 Each leg re-seeds its own RNG (identical inputs no matter how legs are
 added or reordered), builds its own program, and runs ``reps`` times on
-fresh memory images: ``cold`` is the first run (decode included), ``warm``
-the best of the rest (decode served by the cross-run predecode cache --
-the paper's figure sweeps replay one kernel many times, so warm is the
-steady state that matters).  All legs must produce bit-identical C
-matrices and identical retired-opcode counts -- the throughput layer's
-core invariant.
+fresh memory images: ``cold`` is the leg's first run, ``warm`` the best of
+the rest.  Decode goes through the process-wide, content-keyed decode memo
+(:mod:`repro.sim.decode`), so a run is decode-free once any earlier run in
+the process -- or in the parent of a forked worker -- decoded the same
+code: every ``warm`` time, and the ``cold`` time of legs after the first
+gridlock run.  The HMMA window tables are rebuilt on every launch either
+way.  Warm is what each launch after the first costs in a command that
+relaunches a kernel (``hgemm``/``igemm`` go through the kernel cache).
+All legs must produce bit-identical C matrices and identical
+retired-opcode counts -- the throughput layer's core invariant.
 
 Gate: gridlock (serial or sharded) must beat the reference interpreter by
 at least 3x.  Results go to ``BENCH_funcspeed.json``.

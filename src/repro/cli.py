@@ -372,6 +372,12 @@ def _cmd_perfstats(args) -> int:
         print(f"{cfg.name}: {profile.marginal_cycles:.1f} cycles/iter "
               f"+ {profile.fixed_cycles:.0f} fixed "
               f"({profile.ctas_per_sm} CTAs/SM)")
+    counters = STATS.counters
+    hits = counters.get("kernel.hits", 0)
+    launches = counters.get("kernel.builds", 0) + hits
+    print(f"kernel cache: {hits} of {launches} launches reused a kernel; "
+          f"decode memo: {counters.get('decode.memo_hits', 0)} hits, "
+          f"{counters.get('decode.memo_misses', 0)} misses")
     print(STATS.report())
     return 0
 

@@ -38,18 +38,22 @@ would need 80 KB, more than the SM has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import threading
+import weakref
+from dataclasses import dataclass, replace
 
 from ..arch.family import SM75, ArchSpec
 from ..arch.turing import GpuSpec, RTX2070
 from ..isa.builder import ProgramBuilder
 from ..isa.operands import Pred, Reg, RZ
 from ..isa.program import Program
+from ..perf import STATS
 from .config import ConfigError, KernelConfig
 from .layout import SmemPlan
 from .scheduler import InterleaveScheduler, spacing_for
 
-__all__ = ["HgemmProblem", "RegisterPlan", "build_hgemm"]
+__all__ = ["HgemmProblem", "RegisterPlan", "build_hgemm", "cached_build"]
 
 
 def _log2(value: int) -> int:
@@ -743,3 +747,55 @@ def build_hgemm(config: KernelConfig, problem: HgemmProblem,
     simulator (for per-CTA cycle measurements).
     """
     return _HgemmEmitter(config, problem, spec).build()
+
+
+# ------------------------------------------------------------ kernel cache
+#
+# The paper assembles each kernel once and launches that binary at every
+# size of a sweep; functional launches do the same through cached_build.
+# A cached Program is shared by every caller that relaunches its key, so it
+# must not change: its instructions are a tuple, and they are interned (one
+# object per distinct instruction across all cached kernels), which also
+# lets the decode memo match slots by identity.
+
+#: Kernels kept for relaunch; the least recently launched is evicted first.
+KERNEL_CACHE_SIZE = 256
+
+_KERNELS: dict = {}   # insertion-ordered: a hit re-inserts, eviction takes the first
+_KERNELS_LOCK = threading.Lock()
+_INTERNED = weakref.WeakValueDictionary()
+
+
+def _kernel_key(config: KernelConfig, problem: HgemmProblem, spec: GpuSpec):
+    # -0.0 == 0.0, but an alpha of -0.0 emits different HFMA2 bits.
+    return (config, problem, spec, math.copysign(1.0, problem.alpha),
+            math.copysign(1.0, problem.beta))
+
+
+def cached_build(build, config: KernelConfig, problem: HgemmProblem,
+                 spec: GpuSpec = RTX2070) -> Program:
+    """``build(config, problem, spec)``, emitted once per key and shared.
+
+    *build* is the caller's ``build_hgemm`` (passed in, so a wrapper on
+    the caller's module attribute -- per-layer tracing -- times exactly
+    the builds that run).  The key is everything the emitted program
+    depends on: the frozen config, problem (shape, operand addresses,
+    alpha/beta) and device.  Counters: ``kernel.builds`` / ``kernel.hits``.
+    """
+    key = _kernel_key(config, problem, spec)
+    with _KERNELS_LOCK:
+        program = _KERNELS.pop(key, None)
+        if program is not None:
+            _KERNELS[key] = program
+    if program is not None:
+        STATS.count("kernel.hits")
+        return program
+    STATS.count("kernel.builds")
+    program = build(config, problem, spec)
+    program = replace(program, instructions=tuple(
+        _INTERNED.setdefault(inst, inst) for inst in program.instructions))
+    with _KERNELS_LOCK:
+        _KERNELS[key] = program
+        if len(_KERNELS) > KERNEL_CACHE_SIZE:
+            del _KERNELS[next(iter(_KERNELS))]
+    return program

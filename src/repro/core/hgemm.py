@@ -24,7 +24,7 @@ from ..arch.family import SM75, ArchSpec
 from ..arch.turing import GpuSpec, RTX2070
 from ..sim.functional import FunctionalSimulator
 from ..sim.memory import GlobalMemory
-from .builder import HgemmProblem, build_hgemm
+from .builder import HgemmProblem, build_hgemm, cached_build
 from .config import (
     ConfigError,
     KernelConfig,
@@ -188,7 +188,7 @@ def hgemm(a, b, kernel="ours", spec: GpuSpec = RTX2070,
 
     problem = HgemmProblem(m=m, n=n, k=k, a_addr=a_addr, b_addr=b_addr,
                            c_addr=c_addr, alpha=alpha, beta=beta)
-    program = build_hgemm(config, problem, spec)
+    program = cached_build(build_hgemm, config, problem, spec)
     stats = FunctionalSimulator(engine=engine, guard=guard).run(
         program, memory, grid_dim=config.grid_dim(m, n),
         max_workers=max_workers)

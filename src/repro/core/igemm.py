@@ -12,7 +12,7 @@ import numpy as np
 from ..arch.turing import GpuSpec, RTX2070
 from ..sim.functional import FunctionalSimulator
 from ..sim.memory import GlobalMemory
-from .builder import HgemmProblem, build_hgemm
+from .builder import HgemmProblem, build_hgemm, cached_build
 from .config import ConfigError, KernelConfig, ours_int8
 
 __all__ = ["igemm", "igemm_reference", "IgemmRun"]
@@ -96,7 +96,7 @@ def igemm(a, b, kernel=None, spec: GpuSpec = RTX2070,
 
     problem = HgemmProblem(m=m, n=n, k=k, a_addr=a_addr, b_addr=b_addr,
                            c_addr=c_addr)
-    program = build_hgemm(config, problem, spec)
+    program = cached_build(build_hgemm, config, problem, spec)
     stats = FunctionalSimulator(engine=engine).run(
         program, memory, grid_dim=config.grid_dim(m, n),
         max_workers=max_workers)

@@ -235,8 +235,8 @@ def _window_col_tables(n_warps: int):
 def hmma_1688_window(d_base, a_base, b_base, c_base, f32: bool):
     """Compile an in-place executor for a fused window of *g* HMMA.1688s.
 
-    Returns ``run(regs)`` operating directly on the ``(256, lanes)`` uint32
-    register file.  Each operand is one fancy-index gather with a fully
+    Returns ``run(regs, tables)`` operating directly on the ``(256, lanes)``
+    uint32 register file.  Each operand is one fancy-index gather with a fully
     materialised flat index (the window row gather fused with the fragment
     permutation of :func:`_batch_index_tables`) -- NumPy's single-index take
     beats both the two-index broadcast form and a row gather followed by a
@@ -248,6 +248,13 @@ def hmma_1688_window(d_base, a_base, b_base, c_base, f32: bool):
     against the reference engine).  Windows whose tables would exceed
     ``_WINDOW_FLAT_MAX_ELEMS`` fall back to the row-gather + batch-kernel
     path, as do big-endian hosts.
+
+    The flat tables hold ``g * warps * 128``-odd int64 entries, so they
+    grow with the stacked lane count.  The window itself keeps none: they
+    are built on the window's first execution in a launch and stored in
+    *tables*, the launch's own dict (keyed by window and lane count), which
+    dies with the launch.  A window shared across launches through the
+    decode memo therefore retains only its register-row indices.
     """
     from . import fragments as frag
     from .fp16 import HALF
@@ -269,25 +276,24 @@ def hmma_1688_window(d_base, a_base, b_base, c_base, f32: bool):
     d_idx2 = d_rows[:, None] + np.arange(nreg, dtype=np.intp)
     batch = hmma_1688_f32_batch if f32 else hmma_1688_f16_batch
 
-    def run_blocks(regs):
+    def run_blocks(regs, tables=None):
         regs[d_idx2] = batch(regs[a_idx2], regs[b_idx1], regs[c_idx2])
 
     if not frag._LITTLE_ENDIAN:
         return run_blocks
 
-    # Flat tables depend on the lane count, known only once the first
-    # register file arrives; one decoded program has exactly one lane count,
-    # so this cache holds a single entry in practice.
-    cache: dict = {}
+    token = object()   # this window's key in a launch's tables
 
-    def tables(lanes):
-        tab = cache.get(lanes)
-        if tab is not None:
-            return tab
+    def flat_tables(lanes, tables):
+        key = (token, lanes)
+        try:
+            return tables[key]
+        except KeyError:
+            pass
         nw = lanes // 32
         elems = nw * (128 * ua + 64 * ub + 2 * 128 * g)
         if elems > _WINDOW_FLAT_MAX_ELEMS:
-            tab = cache[lanes] = None
+            tab = tables[key] = None
             return tab
         (cA, colA, colB, cD, colD,
          r32, colC32, rD32, colD32) = _window_col_tables(nw)
@@ -307,12 +313,12 @@ def hmma_1688_window(d_base, a_base, b_base, c_base, f32: bool):
             # Accumulate in place (D == C): one table serves both, halving
             # the window's footprint on wide stacked states.
             iD = iC
-        tab = cache[lanes] = (nw, iA, iB, iC, iD)
+        tab = tables[key] = (nw, iA, iB, iC, iD)
         return tab
 
     if f32:
-        def run(regs):
-            tab = tables(regs.shape[1])
+        def run(regs, tables):
+            tab = flat_tables(regs.shape[1], tables)
             if tab is None:
                 return run_blocks(regs)
             nw, iA, iB, iC, iD = tab
@@ -327,8 +333,8 @@ def hmma_1688_window(d_base, a_base, b_base, c_base, f32: bool):
             d = np.matmul(a32, b32) + c32
             f32v[iD] = d.reshape(-1)
     else:
-        def run(regs):
-            tab = tables(regs.shape[1])
+        def run(regs, tables):
+            tab = flat_tables(regs.shape[1], tables)
             if tab is None:
                 return run_blocks(regs)
             nw, iA, iB, iC, iD = tab

@@ -154,6 +154,25 @@ class Instruction:
         if self.info.is_branch and self.target is None and self.target_index is None:
             raise ValueError(f"{self.opcode} requires a branch target")
 
+    def __hash__(self) -> int:
+        # Hashed once per object: kernel-cache interning and the decode
+        # memo hash every slot of every launch.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = hash((self.opcode, self.dests, self.srcs, self.mods,
+                          self.pred, self.ctrl, self.target,
+                          self.target_index))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        # String hashes differ per process, so a pickled instruction (a
+        # Program shipped to a CTA-parallel worker) rehashes on arrival.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     @property
     def info(self) -> OpcodeInfo:
         return OPCODES[self.opcode]

@@ -42,9 +42,14 @@ class KernelMeta:
 
 @dataclass
 class Program:
-    """An assembled kernel: instructions with resolved branch targets."""
+    """An assembled kernel: instructions with resolved branch targets.
 
-    instructions: list
+    ``instructions`` is a tuple, so a program shared through the kernel
+    cache (:func:`repro.core.builder.cached_build`) cannot be edited by
+    one caller under another; transform a copy instead.
+    """
+
+    instructions: tuple
     meta: KernelMeta = field(default_factory=KernelMeta)
     labels: dict = field(default_factory=dict)
 
@@ -62,7 +67,7 @@ class Program:
                     raise ValueError(f"undefined branch target: {inst.target!r}")
                 inst = inst.with_target_index(self.labels[inst.target])
             resolved.append(inst)
-        self.instructions = resolved
+        self.instructions = tuple(resolved)
 
     def __len__(self) -> int:
         return len(self.instructions)

@@ -28,6 +28,13 @@ Counter names use dotted namespaces by convention:
   interleave path.
 * ``func.wall`` (a timer, seconds) -- wall time inside functional
   ``run()``, including predecode and any worker fan-out.
+* ``kernel.builds`` / ``kernel.hits`` -- maintained by the kernel cache
+  (:func:`~repro.core.builder.cached_build`): kernels the functional
+  launch paths emitted, and launches that reused a cached kernel instead;
+  ``hits / (builds + hits)`` is the share of launches that reused one.
+* ``decode.memo_hits`` / ``decode.memo_misses`` -- maintained by
+  :func:`~repro.sim.decode.predecode`: slot and fused-window lookups
+  served by the content-keyed decode memo, and those compiled afresh.
 * ``cache.mem_hits`` / ``cache.disk_hits`` / ``cache.misses`` /
   ``cache.stores`` -- maintained by :mod:`repro.perf.cache`.
 * ``cache.integrity_fails`` / ``cache.store_errors`` /

@@ -55,13 +55,14 @@ suite in ``tests/sim/test_uop_differential.py`` pin this equivalence.
 
 from __future__ import annotations
 
-import weakref
+import threading
 
 import numpy as np
 
 from ..arch.registers import WARP_LANES
 from ..hmma import mma as mma_ops
 from ..isa.operands import SpecialReg, PT_INDEX, RZ_INDEX
+from ..perf import STATS
 from .exec_units import ExecError, execute
 from .uop import (
     MEM_GLOBAL as _MEM_GLOBAL,
@@ -142,10 +143,20 @@ class DecodedProgram:
 
 
 # ----------------------------------------------------- descriptor compilation
+#
+# Closures the decode memo keeps bind what they need as default arguments
+# rather than closure cells: one tuple per closure instead of one cell
+# object per captured name, which halves what a memoised slot retains.
 
 def _frozen(arr):
     arr.setflags(write=False)
     return arr
+
+
+def _const(value, lanes, dtype=np.uint32):
+    """Read-only ``(lanes,)`` array of *value*: a stride-0 broadcast of one
+    element, so a memoised closure holding it retains nothing lane-sized."""
+    return np.broadcast_to(np.array(value, dtype=dtype), (lanes,))
 
 
 def _special_getter(name, lanes):
@@ -153,7 +164,7 @@ def _special_getter(name, lanes):
     if name == "SR_TID.X":
         return lambda warp: warp.tid
     if name in ("SR_TID.Y", "SR_TID.Z", "SRZ"):
-        zeros = _frozen(np.zeros(lanes, dtype=np.uint32))
+        zeros = _const(0, lanes)
         return lambda warp: zeros
     if name == "SR_CTAID.X":
         return lambda warp: np.full(lanes, warp.ctaid[0], dtype=np.uint32)
@@ -172,37 +183,45 @@ def _special_getter(name, lanes):
     return None
 
 
+def _reader(desc, lanes):
+    """Memoised :func:`_make_reader`: one closure per (descriptor, lanes)."""
+    key = (desc, lanes)
+    reader = _memo_get(key)
+    if reader is None:
+        reader = _memo_put(key, _make_reader(desc, lanes) or False)
+    return reader or None
+
+
 def _make_reader(desc, lanes):
     """Compile one µop source descriptor to fn(warp) -> array, or None."""
     kind = desc[0]
     if kind == "reg":
         index = desc[1]
         if index == RZ_INDEX:
-            zeros = _frozen(np.zeros(lanes, dtype=np.uint32))
-            return lambda warp: zeros
-        return lambda warp: warp.regs._data[index]
+            return lambda warp, zeros=_const(0, lanes): zeros
+        return lambda warp, i=index: warp.regs._data[i]
     if kind == "reg_i32":
         index = desc[1]
         if index == RZ_INDEX:
-            zeros = _frozen(np.zeros(lanes, dtype=np.int32))
-            return lambda warp: zeros
-        return lambda warp: warp.regs._data[index].view(np.int32)
+            return lambda warp, zeros=_const(0, lanes, np.int32): zeros
+        return lambda warp, i=index: warp.regs._data[i].view(np.int32)
     if kind == "regs":
         index, count = desc[1], desc[2]
-        return lambda warp: warp.regs._data[index:index + count]
+        return lambda warp, rows=slice(index, index + count): \
+            warp.regs._data[rows]
     if kind == "imm":
-        const = _frozen(np.full(lanes, desc[1], dtype=np.uint32))
-        return lambda warp: const
+        return lambda warp, const=_const(desc[1], lanes): const
     if kind == "imm_i32":
-        const = np.full(lanes, desc[1], dtype=np.uint32).view(np.int32)
-        const.setflags(write=False)
-        return lambda warp: const
+        return lambda warp, const=_const(desc[1], lanes).view(np.int32): const
     if kind == "pred":
         index, negated = desc[1], desc[2]
         if negated:
-            return lambda warp: ~warp.preds._data[index]
-        return lambda warp: warp.preds._data[index]
-    return _special_getter(desc[1], lanes)   # ("sr", ...) / ("sr_i32", ...)
+            return lambda warp, i=index: ~warp.preds._data[i]
+        return lambda warp, i=index: warp.preds._data[i]
+    getter = _special_getter(desc[1], lanes)   # ("sr", ...) / ("sr_i32", ...)
+    if kind == "sr_i32" and getter is not None:
+        return lambda warp, get=getter: get(warp).view(np.int32)
+    return getter
 
 
 def _compile_alu(uop, lanes):
@@ -214,51 +233,48 @@ def _compile_alu(uop, lanes):
         return None
     readers = []
     for desc in uop.srcs:
-        reader = _make_reader(desc, lanes)
+        reader = _reader(desc, lanes)
         if reader is None:
             return None
-        if desc[0] == "sr_i32":
-            getter = reader
-            reader = (lambda warp, _g=getter: _g(warp).view(np.int32))
         readers.append(reader)
     kernel = uop.kernel
     dest = uop.dest
     if dest[0] == "pred":
-        di = dest[1]
-        if di == PT_INDEX:
-            return lambda warp: None  # writes to PT are discarded
+        if dest[1] == PT_INDEX:
+            return _fall_through  # writes to PT are discarded
         r0, r1, r2 = readers
 
-        def run(warp):
+        def run(warp, di=dest[1], kernel=kernel, r0=r0, r1=r1, r2=r2):
             warp.preds._data[di] = kernel(r0(warp), r1(warp), r2(warp))
         return run
     d, words = dest[1], dest[2]
     if kernel is None:
         (r0,) = readers
 
-        def run(warp):
+        def run(warp, d=d, r0=r0):
             warp.regs._data[d] = r0(warp)
         return run
     if words > 1:
         r0, r1, r2 = readers
 
-        def run(warp):
-            warp.regs._data[d:d + words] = kernel(r0(warp), r1(warp), r2(warp))
+        def run(warp, rows=slice(d, d + words), kernel=kernel,
+                r0=r0, r1=r1, r2=r2):
+            warp.regs._data[rows] = kernel(r0(warp), r1(warp), r2(warp))
         return run
     if len(readers) == 2:
         r0, r1 = readers
 
-        def run(warp):
+        def run(warp, d=d, kernel=kernel, r0=r0, r1=r1):
             warp.regs._data[d] = kernel(r0(warp), r1(warp))
         return run
     if len(readers) == 3:
         r0, r1, r2 = readers
 
-        def run(warp):
+        def run(warp, d=d, kernel=kernel, r0=r0, r1=r1, r2=r2):
             warp.regs._data[d] = kernel(r0(warp), r1(warp), r2(warp))
         return run
 
-    def run(warp):
+    def run(warp, d=d, kernel=kernel, readers=tuple(readers)):
         warp.regs._data[d] = kernel(*[r(warp) for r in readers])
     return run
 
@@ -267,38 +283,34 @@ def _compile_mem(uop, lanes):
     mem = uop.mem
     mem_attr = "global_mem" if mem.space == "global" else "shared_mem"
     width = mem.width
-    words = mem.words
     offset = mem.offset
+    bi = mem.base_index
     if mem.is_store:
-        si = mem.reg
-        if mem.base_index == RZ_INDEX:
-            const_addresses = _frozen(np.full(lanes, offset, dtype=np.int64))
-
-            def run(warp):
-                getattr(warp, mem_attr).store_warp(
-                    const_addresses, warp.regs._data[si:si + words], width, None)
+        data_rows = slice(mem.reg, mem.reg + mem.words)
+        if bi == RZ_INDEX:
+            def run(warp, space=mem_attr, width=width, rows=data_rows,
+                    addresses=_const(offset, lanes, np.int64)):
+                getattr(warp, space).store_warp(
+                    addresses, warp.regs._data[rows], width, None)
         else:
-            bi = mem.base_index
-
-            def run(warp):
+            def run(warp, space=mem_attr, width=width, rows=data_rows,
+                    bi=bi, offset=offset):
                 addresses = warp.regs._data[bi].astype(np.int64) + offset
-                getattr(warp, mem_attr).store_warp(
-                    addresses, warp.regs._data[si:si + words], width, None)
+                getattr(warp, space).store_warp(
+                    addresses, warp.regs._data[rows], width, None)
         return run
-    dest = uop.dest[1]
-    if mem.base_index == RZ_INDEX:
-        const_addresses = _frozen(np.full(lanes, offset, dtype=np.int64))
-
-        def run(warp):
-            data = getattr(warp, mem_attr).load_warp(const_addresses, width, None)
-            warp.regs._data[dest:dest + words] = data
+    dest_rows = slice(uop.dest[1], uop.dest[1] + mem.words)
+    if bi == RZ_INDEX:
+        def run(warp, space=mem_attr, width=width, rows=dest_rows,
+                addresses=_const(offset, lanes, np.int64)):
+            data = getattr(warp, space).load_warp(addresses, width, None)
+            warp.regs._data[rows] = data
     else:
-        bi = mem.base_index
-
-        def run(warp):
+        def run(warp, space=mem_attr, width=width, rows=dest_rows,
+                bi=bi, offset=offset):
             addresses = warp.regs._data[bi].astype(np.int64) + offset
-            data = getattr(warp, mem_attr).load_warp(addresses, width, None)
-            warp.regs._data[dest:dest + words] = data
+            data = getattr(warp, space).load_warp(addresses, width, None)
+            warp.regs._data[rows] = data
     return run
 
 
@@ -322,15 +334,31 @@ def _reads_clock(inst) -> bool:
 
 # -------------------------------------------------------- control + fallback
 
+def _fall_through(warp):
+    return None
+
+
+def _exit(warp):
+    return EXITED
+
+
+def _barrier(warp):
+    return BARRIER
+
+
+def _diverge(warp):
+    return DIVERGED
+
+
 def _build_exit(inst, lanes):
     if inst.pred is None:
-        return lambda warp: EXITED
+        return _exit
     pi, negated = inst.pred.index, inst.pred.negated
     if lanes != WARP_LANES:
         # Stacked: a partial predicate may still be warp-uniform per warp --
         # de-stack and let per-warp execution sort it out.
         if negated:
-            def run(warp):
+            def run(warp, pi=pi):
                 active = warp.preds._data[pi]
                 if not active.any():
                     return EXITED
@@ -338,7 +366,7 @@ def _build_exit(inst, lanes):
                     return None
                 return DIVERGED
         else:
-            def run(warp):
+            def run(warp, pi=pi):
                 active = warp.preds._data[pi]
                 if active.all():
                     return EXITED
@@ -347,10 +375,10 @@ def _build_exit(inst, lanes):
                 return DIVERGED
         return run
     if negated:
-        def run(warp):
+        def run(warp, pi=pi):
             return EXITED if not warp.preds._data[pi].any() else None
     else:
-        def run(warp):
+        def run(warp, pi=pi):
             return EXITED if warp.preds._data[pi].all() else None
     return run
 
@@ -359,12 +387,12 @@ def _build_bra(inst, lanes):
     target = inst.target_index
     if inst.pred is None:
         if target is None:
-            return lambda warp: None  # unresolved target falls through
-        return lambda warp: target
+            return _fall_through  # unresolved target falls through
+        return lambda warp, target=target: target
     pi, negated = inst.pred.index, inst.pred.negated
     if lanes != WARP_LANES:
         if negated:
-            def run(warp):
+            def run(warp, pi=pi, target=target):
                 active = warp.preds._data[pi]
                 if not active.any():
                     return target
@@ -372,7 +400,7 @@ def _build_bra(inst, lanes):
                     return None
                 return DIVERGED
         else:
-            def run(warp):
+            def run(warp, pi=pi, target=target):
                 active = warp.preds._data[pi]
                 if active.all():
                     return target
@@ -381,7 +409,7 @@ def _build_bra(inst, lanes):
                 return DIVERGED
         return run
     if negated:
-        def run(warp):
+        def run(warp, pi=pi, target=target):
             active = warp.preds._data[pi]
             if not active.any():
                 return target
@@ -391,7 +419,7 @@ def _build_bra(inst, lanes):
                 "divergent branch: this subset requires warp-uniform branch "
                 f"predicates ({int(WARP_LANES - active.sum())}/32 lanes taken)")
     else:
-        def run(warp):
+        def run(warp, pi=pi, target=target):
             active = warp.preds._data[pi]
             if active.all():
                 return target
@@ -408,7 +436,7 @@ def _build_generic(inst, lanes):
     Effects the same way the reference interval loop does.  Reference
     contexts are 32-lane, so stacked decodings de-stack instead."""
     if lanes != WARP_LANES:
-        return lambda warp: DIVERGED
+        return _diverge
 
     def run(warp):
         eff = execute(inst, warp)
@@ -431,9 +459,8 @@ def _guarded(fast, generic, pred):
     """Predicate wrapper: all lanes on -> fast path; all off -> retire as a
     no-op; partial -> the reference path (which owns masked semantics; on a
     stacked decoding it returns :data:`DIVERGED` instead)."""
-    pi, negated = pred.index, pred.negated
-    if negated:
-        def run(warp):
+    if pred.negated:
+        def run(warp, pi=pred.index, fast=fast, generic=generic):
             active = warp.preds._data[pi]
             if not active.any():
                 return fast(warp)
@@ -441,7 +468,7 @@ def _guarded(fast, generic, pred):
                 return None
             return generic(warp)
     else:
-        def run(warp):
+        def run(warp, pi=pred.index, fast=fast, generic=generic):
             active = warp.preds._data[pi]
             if active.all():
                 return fast(warp)
@@ -459,11 +486,11 @@ def _decode_one(inst, lanes):
     if opcode == "EXIT":
         return _build_exit(inst, lanes), False
     if opcode == "BAR":
-        return (lambda warp: BARRIER), False  # arrives regardless of predication
+        return _barrier, False  # arrives regardless of predication
     if opcode == "BRA":
         return _build_bra(inst, lanes), False
     if opcode == "NOP":
-        return (lambda warp: None), inst.pred is None
+        return _fall_through, inst.pred is None
     generic = _build_generic(inst, lanes)
     try:
         uop = decode_uop(inst)
@@ -519,7 +546,7 @@ def _build_hmma_group(key, payloads):
             f32=key[1] == "f32")
 
         def run(warp):
-            window(warp.regs._data)
+            window(warp.regs._data, warp.tables)
         return run
     # Other generations (HMMA.884 / HMMA.16816): generic row-gather over
     # the arch's batch kernel from the shared MMA_BATCH_KERNELS table.
@@ -699,82 +726,122 @@ def _schedule_window(fuse, start, end):
 
 # ---------------------------------------------------------------- predecode
 
-#: Cross-run decode cache: id(program) -> (weakref, {lanes: DecodedProgram}).
-#: Held *outside* the Program object so programs stay picklable for the
-#: CTA-parallel worker path, keyed by identity because Program's dataclass
-#: equality makes it unhashable; the weakref callback evicts the entry when
-#: the program dies, so a recycled id can never alias.  Decoded programs are
-#: stateless across runs (per-run opcode counters live in the caller), so
-#: reuse is safe; the paper's figure sweeps replay one kernel thousands of
-#: times, which is exactly the case this amortises.
-_PREDECODE_CACHE: dict = {}
+#: Bound (entries) of the decode memo: one process-wide LRU, keyed by
+#: content so that every launch of equal code -- a kernel relaunched from
+#: the kernel cache, or slots that different kernels share -- reuses
+#: compiled closures instead of decoding again:
+#:
+#: * ``(Instruction, lanes)`` -> ``(closure, fusible, reads clock)``;
+#: * ``(window instructions, lanes)`` -> ``(fused closure, slot ops)``, or
+#:   ``_UNFUSED`` for a window that batches nothing;
+#: * ``(µop descriptor, lanes)`` -> a shared operand reader.
+#:
+#: Memoised closures carry no per-launch state (execution counters live in
+#: the caller) and hold nothing lane-sized: constants are stride-0
+#: broadcasts, and HMMA.1688 windows keep their flat index tables in the
+#: launch's ``tables`` dict.  One round of the benchmark's
+#: ``gemm-functional`` workload (45 kernels on three generations) fills
+#: about 5.5k entries.
+_MEMO_SIZE = 8192
+
+_MEMO: dict = {}   # insertion-ordered: a hit re-inserts, eviction takes the first
+_MEMO_LOCK = threading.Lock()
+
+#: Window memo value: the window batches nothing, keep per-slot closures.
+_UNFUSED = ()
+
+
+def _memo_get(key):
+    with _MEMO_LOCK:
+        value = _MEMO.pop(key, None)
+        if value is not None:
+            _MEMO[key] = value
+        return value
+
+
+def _memo_put(key, value):
+    with _MEMO_LOCK:
+        _MEMO[key] = value
+        if len(_MEMO) > _MEMO_SIZE:
+            del _MEMO[next(iter(_MEMO))]
+    return value
 
 
 def predecode(program, lanes: int = WARP_LANES) -> DecodedProgram:
-    """Decode *program* once into slot-indexed closures plus fused windows.
+    """Decode *program* into slot-indexed closures plus fused windows.
 
     ``lanes`` selects the lane count the closures operate on: 32 (default)
     for per-warp execution, ``n_ctas * n_warps * 32`` for a stacked
-    gridlock state (``n_ctas == 1`` on the per-CTA de-stack rung).  Results
-    are memoised per (program, lanes); repeated runs of one kernel skip
-    decode.
+    gridlock state (``n_ctas == 1`` on the per-CTA de-stack rung).  Slots
+    and windows come from the content-keyed decode memo, so only code not
+    seen before at this lane count is compiled (``STATS`` counters
+    ``decode.memo_hits`` / ``decode.memo_misses`` count slot and window
+    lookups).
     """
-    key = id(program)
-    entry = _PREDECODE_CACHE.get(key)
-    if entry is None or entry[0]() is not program:
-        ref = weakref.ref(
-            program, lambda _ref, _key=key: _PREDECODE_CACHE.pop(_key, None))
-        entry = _PREDECODE_CACHE[key] = (ref, {})
-    hit = entry[1].get(lanes)
-    if hit is not None:
-        return hit
-    decoded = entry[1][lanes] = _predecode_uncached(program, lanes)
-    return decoded
-
-
-def _predecode_uncached(program, lanes: int) -> DecodedProgram:
-    n = len(program)
-    instructions = [program[pc] for pc in range(n)]
-    run_fns = []
-    fusible = []
-    for inst in instructions:
-        fn, fu = _decode_one(inst, lanes)
-        run_fns.append(fn)
-        fusible.append(fu)
-    next_pc = [pc + 1 for pc in range(n)]
+    instructions = tuple(program)
+    n = len(instructions)
+    slots = [_memo_get((inst, lanes)) for inst in instructions]
+    misses = 0
+    for pc, entry in enumerate(slots):
+        if entry is None:
+            misses += 1
+            inst = instructions[pc]
+            slots[pc] = _memo_put((inst, lanes), _decode_slot(inst, lanes))
+    lookups = n
+    run_fns = [entry[0] for entry in slots]
+    fusible = [entry[1] for entry in slots]
+    reads_clock = [entry[2] for entry in slots]
+    next_pc = list(range(1, n + 1))
     lens = [1] * n
-    reads_clock = [_reads_clock(inst) for inst in instructions]
     slot_ops = [((inst.opcode, 1),) for inst in instructions]
-    fuse = [_fuse_entry(instructions[pc], fusible[pc]) for pc in range(n)]
 
     start = 0
     while start < n:
-        if fuse[start] is None:
+        if not fusible[start]:
             start += 1
             continue
         end = start
-        while end < n and fuse[end] is not None:
+        while end < n and fusible[end]:
             end += 1
-        _install_window(instructions, run_fns, next_pc, lens, slot_ops,
-                        fuse, start, end)
+        if end - start >= 2:
+            key = (instructions[start:end], lanes)
+            window = _memo_get(key)
+            lookups += 1
+            if window is None:
+                misses += 1
+                window = _memo_put(key, _fuse_window(
+                    instructions, run_fns, start, end))
+            if window is not _UNFUSED:
+                run_fns[start], slot_ops[start] = window
+                next_pc[start] = end
+                lens[start] = end - start
         start = end
 
+    STATS.count("decode.memo_hits", lookups - misses)
+    STATS.count("decode.memo_misses", misses)
     return DecodedProgram(n, run_fns, next_pc, lens, reads_clock, slot_ops,
                           lanes)
 
 
-def _install_window(instructions, run_fns, next_pc, lens, slot_ops,
-                    fuse, start, end) -> None:
-    """Fuse window [start, end) into one composite closure at *start*.
+def _decode_slot(inst, lanes):
+    """Memo value of one slot: ``(closure, fusible, reads clock)``, where
+    *fusible* marks a slot that can join a fused window."""
+    fn, fusible = _decode_one(inst, lanes)
+    return fn, _fuse_entry(inst, fusible) is not None, _reads_clock(inst)
+
+
+def _fuse_window(instructions, run_fns, start, end):
+    """Fuse window [start, end) into one composite closure for slot *start*:
+    ``(closure, slot ops)``, or ``_UNFUSED`` when nothing batches.
 
     Member slots keep their individual closures so branches into the middle
     of a window still execute exactly.
     """
-    if end - start < 2:
-        return
+    fuse = {slot: _fuse_entry(instructions[slot], True)
+            for slot in range(start, end)}
     groups = _schedule_window(fuse, start, end)
     if not any(g.key is not _SOLO and len(g.payloads) >= 2 for g in groups):
-        return  # nothing batched; composition would only add indirection
+        return _UNFUSED  # nothing batched; composition would only add indirection
     parts = []
     for group in groups:
         if group.key is not _SOLO and len(group.payloads) >= 2:
@@ -793,7 +860,4 @@ def _install_window(instructions, run_fns, next_pc, lens, slot_ops,
             ops[-1] = (opcode, ops[-1][1] + 1)
         else:
             ops.append((opcode, 1))
-    run_fns[start] = run
-    next_pc[start] = end
-    lens[start] = end - start
-    slot_ops[start] = tuple(ops)
+    return run, tuple(ops)

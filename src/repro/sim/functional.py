@@ -89,10 +89,16 @@ class SimLimitError(RuntimeError):
 
 
 class _WarpState:
-    """Execution context of one warp (duck-typed for exec_units)."""
+    """Execution context of one warp (duck-typed for exec_units).
+
+    ``tables`` is the launch's dict of lane-sized tables built on first use
+    (the decoded HMMA.1688 windows' flat index tables); every state of one
+    launch shares it, and it dies with the launch.
+    """
 
     def __init__(self, warp_id: int, ctaid, block_dim: int,
-                 global_mem: GlobalMemory, shared_mem: SharedMemory):
+                 global_mem: GlobalMemory, shared_mem: SharedMemory,
+                 tables: dict = None):
         self.warp_id = warp_id
         self.ctaid = ctaid
         self.lane_ids = np.arange(WARP_LANES, dtype=np.uint32)
@@ -101,6 +107,7 @@ class _WarpState:
         self.preds = PredicateFile()
         self.global_mem = global_mem
         self.shared_mem = shared_mem
+        self.tables = {} if tables is None else tables
         self.pc = 0
         self.retired = 0
         self.exited = False
@@ -122,11 +129,13 @@ class _GridState:
     broadcasts them, so the decode layer needs no grid awareness) and
     ``shared_mem`` is a :class:`StackedSharedMemory` whose per-lane word
     offsets route each lane to its own CTA's segment.  A 1-CTA state is the
-    per-CTA rung of the de-stack ladder.
+    per-CTA rung of the de-stack ladder.  ``tables`` is the launch's dict
+    of lane-sized tables, as on :class:`_WarpState`.
     """
 
     def __init__(self, ctaids, n_warps: int, block_dim: int,
-                 global_mem: GlobalMemory, smem_bytes: int):
+                 global_mem: GlobalMemory, smem_bytes: int,
+                 tables: dict = None):
         self.ctaids = list(ctaids)
         self.n_ctas = len(self.ctaids)
         self.n_warps = n_warps
@@ -147,6 +156,7 @@ class _GridState:
         self.global_mem = global_mem
         self.shared_mem = StackedSharedMemory(smem_bytes, self.n_ctas,
                                               lanes_per_cta)
+        self.tables = {} if tables is None else tables
         self.retired = 0
 
     def clock(self) -> int:
@@ -159,7 +169,8 @@ class _GridState:
         ctas = []
         for c, ctaid in enumerate(self.ctaids):
             cta = _GridState([ctaid], self.n_warps, self.block_dim,
-                             self.global_mem, self.shared_mem.size)
+                             self.global_mem, self.shared_mem.size,
+                             self.tables)
             cta.shared_mem.segment(0)[:] = self.shared_mem.segment(c)
             cols = slice(c * lanes_per_cta, (c + 1) * lanes_per_cta)
             cta.regs._data[:] = self.regs._data[:, cols]
@@ -176,7 +187,7 @@ class _GridState:
         warps = []
         for w in range(self.n_warps):
             warp = _WarpState(w, self.ctaids[0], self.block_dim,
-                              self.global_mem, shared)
+                              self.global_mem, shared, self.tables)
             cols = slice(w * WARP_LANES, (w + 1) * WARP_LANES)
             warp.regs._data[:] = self.regs._data[:, cols]
             warp.preds._data[:] = self.preds._data[:, cols]
@@ -278,12 +289,15 @@ class FunctionalSimulator:
         # a chunk may de-stack to needs its own decoding (closures are
         # lane-count-specialised); they are built on first use and each
         # keeps its own counters because their window structures can differ.
+        # Lane-sized tables the closures build live in one dict per launch.
         meta = program.meta
         chunk = max(1, _GRIDLOCK_LANES // (meta.warps_per_cta * WARP_LANES))
         decodings = {}  # lanes -> (DecodedProgram, per-slot counts)
+        tables = {}
         for start in range(0, len(ctaids), chunk):
             state = _GridState(ctaids[start:start + chunk], meta.warps_per_cta,
-                               meta.block_dim, global_mem, meta.smem_bytes)
+                               meta.block_dim, global_mem, meta.smem_bytes,
+                               tables)
             self._run_stacked(program, decodings, state, 0, 0)
             result.ctas_run += state.n_ctas
         for decoded, counts in decodings.values():

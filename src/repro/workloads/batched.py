@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..arch.turing import GpuSpec, RTX2070
-from ..core.builder import HgemmProblem, build_hgemm
+from ..core.builder import HgemmProblem, build_hgemm, cached_build
 from ..core.hgemm import hgemm_reference, resolve_config
 from ..sim.gpu import Device
 
@@ -135,7 +135,7 @@ def hgemm_strided_batched(a, b, kernel="ours", spec: GpuSpec = RTX2070,
             b_addr=b_base + i * b_stride,
             c_addr=c_base + i * c_stride,
         )
-        program = build_hgemm(config, problem, spec)
+        program = cached_build(build_hgemm, config, problem, spec)
         stats = dev.launch(program, grid=grid, max_workers=max_workers,
                            engine=engine)
         run.instructions += stats.instructions_retired
